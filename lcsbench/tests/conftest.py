@@ -1,0 +1,6 @@
+"""The benchmark's modules are flat scripts: put their directory on the path."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
