@@ -59,7 +59,6 @@ def batch_semilocal_lcs(
     machine=None,
     max_lanes: int = 64,
     min_side: int = 16,
-    pipeline_depth: int = 2,
     **kwargs,
 ):
     """Solve semi-local LCS for many ``(a, b)`` pairs at once.
@@ -77,7 +76,6 @@ def batch_semilocal_lcs(
         algorithm=algorithm,
         max_lanes=max_lanes,
         min_side=min_side,
-        pipeline_depth=pipeline_depth,
         **kwargs,
     )
     return [
@@ -93,7 +91,6 @@ def batch_lcs(
     machine=None,
     max_lanes: int = 64,
     min_side: int = 16,
-    pipeline_depth: int = 2,
     **kwargs,
 ) -> np.ndarray:
     """Plain LCS scores for many pairs (int64 array, input order).
@@ -107,7 +104,6 @@ def batch_lcs(
         algorithm=algorithm,
         max_lanes=max_lanes,
         min_side=min_side,
-        pipeline_depth=pipeline_depth,
         **kwargs,
     )
     return np.asarray(sched.run(pairs, want="scores"), dtype=np.int64)
@@ -119,7 +115,6 @@ def batch_bit_lcs(
     machine=None,
     w: int = 64,
     max_lanes: int = 64,
-    pipeline_depth: int = 2,
 ) -> np.ndarray:
     """Bit-parallel LCS scores for many *binary* pairs (int64 array).
 
@@ -136,6 +131,4 @@ def batch_bit_lcs(
         )
         for a, b in pairs
     ]
-    return run_bit_batches(
-        coded, machine=machine, w=w, max_lanes=max_lanes, pipeline_depth=pipeline_depth
-    )
+    return run_bit_batches(coded, machine=machine, w=w, max_lanes=max_lanes)

@@ -15,12 +15,12 @@ lockstep megabatches and keeps a machine's workers saturated:
    (:meth:`~repro.parallel.transport.SharedArena.slab`), so a steady
    state of pipelined rounds allocates zero new segments.
 3. **Round pipelining** — megabatches are dispatched ``workers`` at a
-   time through ``submit_round_arrays`` / ``drain_round``; with
-   ``pipeline_depth = 2`` (double buffering) round ``k + 1`` is packed
-   while round ``k`` computes. Fault and chaos semantics are preserved
-   per round: chaos injects at submission, resilient recovery happens at
-   submit or drain, and slabs are recycled only after their round has
-   fully drained.
+   time through ``submit_round_arrays`` / ``drain_round``, with
+   :data:`PIPELINE_DEPTH` = 2 rounds in flight (double buffering):
+   round ``k + 1`` is packed while round ``k`` computes. Fault and
+   chaos semantics are preserved per round: chaos injects at
+   submission, resilient recovery happens at submit or drain, and slabs
+   are recycled only after their round has fully drained.
 
 Pairs the lockstep kernels cannot take (other algorithms, exotic
 kwargs) fall back to per-pair specs over the same machine — still one
@@ -53,6 +53,9 @@ from .lockstep import comb_lockstep, pack_lanes
 LOCKSTEP_ALGORITHM = "semi_antidiag_simd"
 #: kwargs the lockstep kernels understand; anything else forces fallback
 LOCKSTEP_KWARGS = frozenset({"blend", "use_16bit_when_possible"})
+#: rounds in flight per dispatch: double buffering, which beats one
+#: round at a time on lcsbench's ``batch`` workload (DESIGN.md §3i)
+PIPELINE_DEPTH = 2
 
 
 def lockstep_supported(algorithm: str, kwargs: dict) -> bool:
@@ -83,26 +86,24 @@ def _ceil_pow2(x: int, floor: int) -> int:
 
 
 class _Pipeline:
-    """Depth-bounded in-flight round queue (double buffering by default).
+    """Double-buffered in-flight round queue.
 
     ``push`` submits a round and, when the queue is full, drains the
-    *oldest* first — so at most ``depth`` rounds are ever in flight and
-    packing of the next round overlaps compute of the previous ones.
+    *oldest* first — so at most :data:`PIPELINE_DEPTH` rounds are ever in
+    flight and packing of the next round overlaps compute of the
+    previous ones.
     """
 
-    def __init__(self, machine, depth: int):
+    def __init__(self, machine):
         self.machine = machine
-        self.depth = max(1, int(depth))
         self._inflight: deque = deque()
-        self.high_water = 0
 
     def push(self, specs, finish) -> None:
         """Submit *specs*; ``finish(results)`` runs when the round drains."""
-        while len(self._inflight) >= self.depth:
+        while len(self._inflight) >= PIPELINE_DEPTH:
             self._drain_one()
         token = machine_submit_round(self.machine, specs)
         self._inflight.append((token, finish))
-        self.high_water = max(self.high_water, len(self._inflight))
 
     def _drain_one(self) -> None:
         token, finish = self._inflight.popleft()
@@ -142,8 +143,6 @@ class BatchScheduler:
         strand state comfortably inside L2-per-core on common machines.
     min_side:
         Bucket floor: pairs smaller than this share the smallest bucket.
-    pipeline_depth:
-        Maximum rounds in flight (2 = double buffering).
     """
 
     def __init__(
@@ -153,7 +152,6 @@ class BatchScheduler:
         algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
         min_side: int = 16,
-        pipeline_depth: int = 2,
         **algo_kwargs,
     ):
         if max_lanes < 1:
@@ -162,7 +160,6 @@ class BatchScheduler:
         self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
         self.min_side = int(min_side)
-        self.pipeline_depth = int(pipeline_depth)
         self.algo_kwargs = dict(algo_kwargs)
         #: stats of the most recent :meth:`run` (pairs, megabatches,
         #: padded/real cells, fallback pairs, per-megabatch lane counts)
@@ -213,7 +210,6 @@ class BatchScheduler:
         hist = metrics.histogram("batch.lanes")
         for lanes in lanes_hist:
             hist.observe(lanes)
-        metrics.gauge("batch.pipeline_depth").set_max(self.pipeline_depth)
         self.last_stats = {**stats, "lanes": list(lanes_hist)}
         return out
 
@@ -228,7 +224,7 @@ class BatchScheduler:
                 out[i] = (np.asarray(res, dtype=np.int64), ca.size, cb.size) if want == "kernels" else res
             return
         specs = [(worker, (self.algorithm, ca, cb, self.algo_kwargs), {}) for i, ca, cb in work]
-        pipe = _Pipeline(self.machine, self.pipeline_depth)
+        pipe = _Pipeline(self.machine)
         chunk = max(1, getattr(self.machine, "workers", 1) or 1) * 4
 
         def finish(batch, results):
@@ -282,7 +278,7 @@ class BatchScheduler:
             return
 
         workers = max(1, getattr(self.machine, "workers", 1) or 1)
-        pipe = _Pipeline(self.machine, self.pipeline_depth)
+        pipe = _Pipeline(self.machine)
 
         def finish(round_batches, round_slabs, results):
             try:
@@ -341,7 +337,6 @@ def run_bit_batches(
     machine=None,
     w: int = 64,
     max_lanes: int = 64,
-    pipeline_depth: int = 2,
 ) -> np.ndarray:
     """Batched bit-parallel LCS scores for binary *code* pairs.
 
@@ -387,7 +382,7 @@ def run_bit_batches(
                 finish([lanes], [comb_bit_lockstep(*stacks, w=w)])
             return out
         workers = max(1, getattr(machine, "workers", 1) or 1)
-        pipe = _Pipeline(machine, pipeline_depth)
+        pipe = _Pipeline(machine)
         try:
             for lo in range(0, len(megabatches), workers):
                 round_specs = []

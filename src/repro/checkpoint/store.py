@@ -59,6 +59,7 @@ import json
 import os
 import threading
 import time
+import uuid
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -115,9 +116,13 @@ def kernel_key(ca: np.ndarray, cb: np.ndarray, algorithm: str, version: int = ST
 
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write-to-temp + fsync + rename: *path* either keeps its old
-    content or atomically gains the new one, never a torn mix."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as fh:
+    content or atomically gains the new one, never a torn mix.
+
+    Every write gets its own temp file (``<name>.tmp.<random>``, swept by
+    :meth:`KernelStore.gc`), so concurrent writers of one key — threads
+    or processes — never rename each other's temp file away."""
+    tmp = path.with_name(f"{path.name}.tmp.{uuid.uuid4().hex}")
+    with open(tmp, "xb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())

@@ -21,6 +21,7 @@ Both return the same kernel as plain iterative combing (property-tested).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -118,10 +119,6 @@ def _split_lengths(total: int, parts: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(parts)]
 
 
-# ---------------------------------------------------------------------------
-# Explicit reduction plans (fused rounds + pipelined execution build on these)
-# ---------------------------------------------------------------------------
-
 #: One reduction node: ``kind`` is ``"h"`` (compose_horizontal) or ``"v"``
 #: (compose_vertical), ``out``/``left``/``right`` are plan node ids
 #: (leaves are ``i * n_outer + j`` row-major), and ``d0/d1/d2`` are the
@@ -139,29 +136,38 @@ class GridOp:
         self.d1 = d1
         self.d2 = d2
 
+    def compose(self, left: PermArray, right: PermArray, multiply) -> PermArray:
+        """Compose the kernels of this op's two input nodes."""
+        fn = compose_horizontal if self.kind == "h" else compose_vertical
+        return fn(left, right, self.d0, self.d1, self.d2, multiply)
+
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"GridOp({self.kind!r}, out={self.out}, "
                 f"left={self.left}, right={self.right})")
 
 
-def plan_grid_reduction(m: int, n: int, a_lens, b_lens):
-    """Flatten Listing 7's longest-side reduction into explicit levels.
+def plan_grid_reduction(m: int, n: int, a_lens, b_lens, *, reduction: str = "longest-side"):
+    """Flatten Listing 7's balanced reduction tree into explicit levels.
 
     Returns ``(levels, spans, root)``: ``levels`` is a list of lists of
-    :class:`GridOp` (one list per reduction level, ops in the exact order
-    the level-synchronous implementation submits them), ``spans`` maps
-    every plan node id to its covered slice bounds
-    ``(a_lo, a_hi, b_lo, b_hi)`` (content-addressed checkpoint keys and
-    fusion payload estimates both derive from these), and ``root`` is the
-    final node's id. Leaf ids are ``i * n_outer + j`` row-major; the
-    caller runs the leaves itself.
+    :class:`GridOp` (one list per reduction level; the ops of a level are
+    mutually independent), ``spans`` maps every plan node id to its
+    covered slice bounds ``(a_lo, a_hi, b_lo, b_hi)`` (checkpoint keys
+    derive from these), and ``root`` is the final node's id. Leaf ids are
+    ``i * n_outer + j`` row-major; the caller runs the leaves itself.
 
-    The plan is *semantics-free scheduling data*: executing its ops in
-    any dependency-respecting order produces the identical kernel,
-    because kernel composition is associative along the chosen reduction
-    tree — which is what lets the executor fuse levels and pipeline
-    rounds without touching correctness.
+    ``reduction`` selects the compose-order heuristic the paper's §4.3
+    discusses: ``"longest-side"`` (the paper's choice — always merge
+    along the sub-grid's longest axis, keeping block shapes balanced),
+    ``"rows-first"`` (merge all row pairs before any columns) or
+    ``"cols-first"``. Every order yields the same kernel; the order only
+    affects the cost of the log-linear compositions.
+
+    This plan is the one description of the tree: the sequential and
+    parallel grids both run it level by level.
     """
+    if reduction not in ("longest-side", "rows-first", "cols-first"):
+        raise ValueError(f"unknown reduction heuristic {reduction!r}")
     a_lens = list(a_lens)
     b_lens = list(b_lens)
     m_outer, n_outer = len(a_lens), len(b_lens)
@@ -187,7 +193,12 @@ def plan_grid_reduction(m: int, n: int, a_lens, b_lens):
             row_reduction = False
         elif m_outer == 1:
             row_reduction = True
+        elif reduction == "rows-first":
+            row_reduction = True
+        elif reduction == "cols-first":
+            row_reduction = False
         else:
+            # blocks taller than wide -> merge horizontally (row reduction)
             row_reduction = (m / m_outer) >= (n / n_outer)
         ops = []
         if row_reduction:
@@ -234,69 +245,22 @@ def plan_grid_reduction(m: int, n: int, a_lens, b_lens):
     return levels, spans, ids[0][0]
 
 
-#: Default fused-round payload budget (bytes of external input kernels
-#: per fused task). Small deep levels — where per-round machine overhead
-#: dominates — fuse aggressively; large top-of-tree kernels stay one op
-#: per task so the workers keep them parallel.
-DEFAULT_FUSE_BUDGET = 1 << 20
+def run_grid_levels(plan, n_leaves: int, run_leaves, run_level):
+    """Run a :func:`plan_grid_reduction` plan level by level.
 
-#: Never chain more than this many reduction levels into one task — a
-#: fused task runs its ops sequentially inside one worker, so unbounded
-#: depth would serialize the whole top of the tree.
-MAX_FUSE_LEVELS = 4
-
-
-def _node_payload(node, spans, itemsize):
-    a_lo, a_hi, b_lo, b_hi = spans[node]
-    return ((a_hi - a_lo) + (b_hi - b_lo)) * itemsize
-
-
-def fuse_plan(levels, spans, *, budget=DEFAULT_FUSE_BUDGET,
-              itemsize=8, max_levels=MAX_FUSE_LEVELS):
-    """Group reduction levels into submission rounds.
-
-    Adjacent levels merge into one round when every fused task the merge
-    would create keeps its *external input payload* (the kernels the task
-    must be handed, at *itemsize* bytes per strand) within *budget* and
-    the chain spans at most *max_levels* levels. Returns a list of
-    rounds; each round is a list of tasks and each task a list of
-    :class:`GridOp` in dependency order (length 1 = unfused). Tasks
-    within a round are mutually independent — everything a task consumes
-    was produced in an earlier round (or is a grid leaf).
-
-    ``budget=0`` (or ``max_levels=1``) degenerates to exactly one round
-    per level — the unfused schedule.
+    ``run_leaves(nodes)`` returns the kernels of leaf *nodes* (one round);
+    then, for each level, ``run_level(level, ops, inputs)`` returns the
+    kernels of that level's ops from their ``(left, right)`` input
+    kernels (one round per level, levels numbered from 1). Every grid —
+    sequential, parallel and checkpointed — runs through here, so all of
+    them share one schedule. Returns the root kernel.
     """
-    rounds = []
-    pending: dict[int, list] = {}
-    pending_depth = 0
-
-    def task_externals(ops):
-        outs = {op.out for op in ops}
-        return [s for op in ops for s in (op.left, op.right) if s not in outs]
-
-    for ops in levels:
-        if pending:
-            fuse = pending_depth < max_levels
-            if fuse:
-                for op in ops:
-                    cand = pending.get(op.left, []) + pending.get(op.right, []) + [op]
-                    payload = sum(_node_payload(s, spans, itemsize)
-                                  for s in task_externals(cand))
-                    if payload > budget:
-                        fuse = False
-                        break
-            if not fuse:
-                rounds.append(list(pending.values()))
-                pending = {}
-                pending_depth = 0
-        for op in ops:
-            task = pending.pop(op.left, []) + pending.pop(op.right, []) + [op]
-            pending[op.out] = task
-        pending_depth += 1
-    if pending:
-        rounds.append(list(pending.values()))
-    return rounds
+    levels, _, root = plan
+    kernels = dict(enumerate(run_leaves(range(n_leaves))))
+    for level, ops in enumerate(levels, start=1):
+        inputs = [(kernels.pop(op.left), kernels.pop(op.right)) for op in ops]
+        kernels.update(zip([op.out for op in ops], run_level(level, ops, inputs)))
+    return kernels[root]
 
 
 def hybrid_combing_grid(
@@ -315,18 +279,16 @@ def hybrid_combing_grid(
 ) -> PermArray:
     """Listing 7: grid decomposition + balanced reduction tree.
 
-    ``reduction`` selects the compose-order heuristic the paper's §4.3
-    discusses: ``"longest-side"`` (the paper's choice — always merge
-    along the sub-grid's longest axis, keeping block shapes balanced),
-    ``"rows-first"`` (merge all row pairs before any columns) or
-    ``"cols-first"``. All orders produce the same kernel; the order only
-    affects the cost of the log-linear compositions (ablated in
+    Combs every sub-block, then walks :func:`plan_grid_reduction`'s
+    levels in-process. ``reduction`` picks the plan's compose-order
+    heuristic (see there; ablated in
     ``benchmarks/bench_ext_ablations.py``).
 
     ``on_leaf(m, n)`` / ``on_compose(order)`` are accounting callbacks for
-    the parallel cost model (each reduction round's compositions are
+    the parallel cost model (each reduction level's compositions are
     mutually independent, as are all leaf combings); ``on_leaf`` fires as
-    each leaf finishes, in row-major order.
+    each leaf finishes, in row-major order, and ``on_compose`` as each
+    plan op finishes, level by level, with the merged node's ``m + n``.
 
     ``checkpoint`` is an optional
     :class:`~repro.checkpoint.grid.GridCheckpointer`: every leaf (and
@@ -364,8 +326,6 @@ def _hybrid_combing_grid_impl(
     on_compose=None,
     checkpoint=None,
 ) -> PermArray:
-    if reduction not in ("longest-side", "rows-first", "cols-first"):
-        raise ValueError(f"unknown reduction heuristic {reduction!r}")
     ca, cb = encode(a), encode(b)
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
@@ -376,115 +336,51 @@ def _hybrid_combing_grid_impl(
     m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
     a_lens = _split_lengths(m, m_outer)
     b_lens = _split_lengths(n, n_outer)
-    m_outer, n_outer = len(a_lens), len(b_lens)
-    a_offs = np.concatenate([[0], np.cumsum(a_lens)])
-    b_offs = np.concatenate([[0], np.cumsum(b_lens)])
+    n_outer = len(b_lens)
+    plan = plan_grid_reduction(m, n, a_lens, b_lens, reduction=reduction)
+    spans = plan[1]
 
     if checkpoint is not None:
         finished = checkpoint.begin(ca, cb, a_lens, b_lens)
         if finished is not None:
             return finished
 
+    def slices(node):
+        a_lo, a_hi, b_lo, b_hi = spans[node]
+        return ca[a_lo:a_hi], cb[b_lo:b_hi]
+
     # comb every sub-block independently (the parallel taskloop); each
     # leaf checkpoints the moment it finishes
-    get_metrics().inc("combing.grid_leaves", m_outer * n_outer)
-    grid = []
-    for i in range(m_outer):
-        row = []
-        for j in range(n_outer):
-            ca_blk = ca[a_offs[i] : a_offs[i + 1]]
-            cb_blk = cb[b_offs[j] : b_offs[j + 1]]
-            if checkpoint is not None:
-                leaf = checkpoint.leaf(
-                    i, j, ca_blk, cb_blk,
-                    lambda ca_blk=ca_blk, cb_blk=cb_blk: _leaf(ca_blk, cb_blk, blend, use_16bit),
-                )
+    def run_leaves(nodes):
+        out = []
+        for node in nodes:
+            ca_blk, cb_blk = slices(node)
+            compute = partial(_leaf, ca_blk, cb_blk, blend, use_16bit)
+            if checkpoint is None:
+                out.append(compute())
             else:
-                leaf = _leaf(ca_blk, cb_blk, blend, use_16bit)
-            row.append(leaf)
+                i, j = divmod(node, n_outer)
+                out.append(checkpoint.leaf(i, j, ca_blk, cb_blk, compute))
             if on_leaf is not None:
-                on_leaf(a_lens[i], b_lens[j])
-        grid.append(row)
+                on_leaf(ca_blk.size, cb_blk.size)
+        return out
 
-    # balanced reduction: merge along the blocks' longest side (default)
-    level = 0
-    while m_outer > 1 or n_outer > 1:
-        level += 1
-        a_offs = np.concatenate([[0], np.cumsum(a_lens)])
-        b_offs = np.concatenate([[0], np.cumsum(b_lens)])
-        if n_outer == 1:
-            row_reduction = False
-        elif m_outer == 1:
-            row_reduction = True
-        elif reduction == "rows-first":
-            row_reduction = True  # exhaust horizontal merges first
-        elif reduction == "cols-first":
-            row_reduction = False
-        else:
-            # blocks taller than wide -> merge horizontally (row reduction)
-            row_reduction = (m / m_outer) >= (n / n_outer)
-        node_index = 0
-        if row_reduction:
-            new_b_lens = []
-            for i in range(m_outer):
-                new_row = []
-                for j in range(0, n_outer - 1, 2):
-                    compute = lambda i=i, j=j: compose_horizontal(
-                        grid[i][j], grid[i][j + 1], a_lens[i], b_lens[j], b_lens[j + 1], multiply
-                    )
-                    if checkpoint is not None:
-                        merged = checkpoint.compose(
-                            level, node_index,
-                            ca[a_offs[i] : a_offs[i + 1]],
-                            cb[b_offs[j] : b_offs[j + 2]],
-                            compute,
-                        )
-                    else:
-                        merged = compute()
-                    node_index += 1
-                    if on_compose is not None:
-                        on_compose(a_lens[i] + b_lens[j] + b_lens[j + 1])
-                    new_row.append(merged)
-                if n_outer % 2:
-                    new_row.append(grid[i][n_outer - 1])
-                grid[i] = new_row
-            for j in range(0, n_outer - 1, 2):
-                new_b_lens.append(b_lens[j] + b_lens[j + 1])
-            if n_outer % 2:
-                new_b_lens.append(b_lens[n_outer - 1])
-            b_lens = new_b_lens
-            n_outer = len(b_lens)
-        else:
-            new_a_lens = []
-            new_grid = []
-            for i in range(0, m_outer - 1, 2):
-                new_row = []
-                for j in range(n_outer):
-                    compute = lambda i=i, j=j: compose_vertical(
-                        grid[i][j], grid[i + 1][j], a_lens[i], a_lens[i + 1], b_lens[j], multiply
-                    )
-                    if checkpoint is not None:
-                        merged = checkpoint.compose(
-                            level, node_index,
-                            ca[a_offs[i] : a_offs[i + 2]],
-                            cb[b_offs[j] : b_offs[j + 1]],
-                            compute,
-                        )
-                    else:
-                        merged = compute()
-                    node_index += 1
-                    if on_compose is not None:
-                        on_compose(a_lens[i] + a_lens[i + 1] + b_lens[j])
-                    new_row.append(merged)
-                new_grid.append(new_row)
-                new_a_lens.append(a_lens[i] + a_lens[i + 1])
-            if m_outer % 2:
-                new_grid.append(grid[m_outer - 1])
-                new_a_lens.append(a_lens[m_outer - 1])
-            grid = new_grid
-            a_lens = new_a_lens
-            m_outer = len(a_lens)
+    def run_level(level, ops, inputs):
+        out = []
+        for index, (op, (left, right)) in enumerate(zip(ops, inputs)):
+            compute = partial(op.compose, left, right, multiply)
+            ca_sl, cb_sl = slices(op.out)
+            if checkpoint is None:
+                out.append(compute())
+            else:
+                out.append(checkpoint.compose(level, index, ca_sl, cb_sl, compute))
+            if on_compose is not None:
+                on_compose(ca_sl.size + cb_sl.size)
+        return out
 
+    n_leaves = len(a_lens) * n_outer
+    get_metrics().inc("combing.grid_leaves", n_leaves)
+    root = run_grid_levels(plan, n_leaves, run_leaves, run_level)
     if checkpoint is not None:
-        checkpoint.finish(ca, cb, grid[0][0])
-    return grid[0][0]
+        checkpoint.finish(ca, cb, root)
+    return root

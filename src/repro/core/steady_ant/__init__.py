@@ -20,8 +20,7 @@ Implementations, mirroring the paper's §5.1 ablation:
 - :func:`repro.core.steady_ant.vectorized.steady_ant_vectorized` — the
   level-vectorized engine: breadth-first expansion with batched lane
   splits and a batched dense (min,+) base case (bit-identical to
-  "combined", ~2x faster warm; every scalar entry point exposes it via a
-  ``vectorize=`` knob),
+  "combined", ~2x faster warm; the parallel grid's default multiply),
 - :func:`repro.core.steady_ant.naive.sticky_multiply_dense` — O(n^3)
   explicit reference (re-exported from :mod:`repro.core.dist_matrix`).
 """

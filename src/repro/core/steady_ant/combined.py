@@ -81,7 +81,6 @@ def steady_ant_combined(
     *,
     arena: Arena | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
-    vectorize: bool = False,
 ) -> PermArray:
     """Sticky product ``p ⊙ q`` with precalc + memory optimizations.
 
@@ -91,16 +90,7 @@ def steady_ant_combined(
     histogram, and the ``steady_ant.max_depth`` high-water gauge. Base
     case hits are the recursion leaves answered by the precalc table —
     the paper's "sequential switch" (section 5.1).
-
-    ``vectorize=True`` delegates to the level-vectorized engine
-    (:func:`~.vectorized.steady_ant_vectorized`, bit-identical result,
-    its own metric family); *arena* and *max_order* are then unused —
-    the batched base case replaces both the table and the arena.
     """
-    if vectorize:
-        from .vectorized import steady_ant_vectorized
-
-        return steady_ant_vectorized(p, q)
     p = np.ascontiguousarray(p, dtype=np.int64)
     q = np.ascontiguousarray(q, dtype=np.int64)
     n = p.size

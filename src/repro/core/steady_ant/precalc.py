@@ -12,16 +12,13 @@ The table is built lazily on first use and shared process-wide.
 
 from __future__ import annotations
 
-import os
 import threading
-from itertools import permutations
 
 import numpy as np
 
 from ...errors import ShapeMismatchError
 from ...obs.metrics import inc as _metric_inc
 from ...types import PermArray
-from ..dist_matrix import sticky_multiply_dense
 from ._core import combine, split_p, split_q
 
 #: Paper's table order: all products of permutations of order <= 5.
@@ -41,55 +38,28 @@ def unpack(word: int, n: int) -> np.ndarray:
     return np.asarray([(word >> (4 * k)) & 0xF for k in range(n)], dtype=np.int64)
 
 
-#: Environment override for the table construction strategy —
-#: ``"vectorized"`` (default: one batched dense (min,+) product per
-#: order, ~50x faster cold start) or ``"scalar"`` (the original 15017
-#: scalar dense products; the perf benchmarks use it to reproduce
-#: pre-vectorization cold-build semantics honestly).
-PRECALC_BUILD_ENV = "REPRO_PRECALC_BUILD"
-
-
 class PrecalcTable:
     """Products of all permutation pairs of order up to ``max_order``.
 
     ``lookup(packed_p, packed_q, n)`` returns the packed product in O(1).
 
-    ``build`` selects the construction strategy (``"vectorized"`` /
-    ``"scalar"``); when ``None`` the :data:`PRECALC_BUILD_ENV`
-    environment variable decides, defaulting to ``"vectorized"``. Both
-    strategies produce identical tables (equality-tested) — the
-    vectorized one computes each order's ``(n!)^2`` products as a single
-    batch via :func:`~.vectorized.batch_sticky_multiply`, which matters
-    because every worker process pays this build once.
+    Each order's ``(n!)^2`` products are computed as a single batch via
+    :func:`~.vectorized.build_precalc_products`, which matters because
+    every worker process pays this build once.
     """
 
-    def __init__(self, max_order: int = DEFAULT_MAX_ORDER, *, build: str | None = None):
+    def __init__(self, max_order: int = DEFAULT_MAX_ORDER):
         if not 1 <= max_order <= 8:
             raise ValueError("max_order must be in [1, 8] (tetrade packing)")
-        if build is None:
-            build = os.environ.get(PRECALC_BUILD_ENV, "vectorized")
-        if build not in ("vectorized", "scalar"):
-            raise ValueError(f"unknown precalc build strategy {build!r}")
+        from .vectorized import build_precalc_products
+
         self.max_order = max_order
-        self.build = build
         self._tables: list[dict[tuple[int, int], int]] = [dict() for _ in range(max_order + 1)]
         self._unpacked_cache: dict[tuple[int, int], np.ndarray] = {}
-        if build == "vectorized":
-            from .vectorized import build_precalc_products
-
-            for n, packed_p, packed_q, packed_r in build_precalc_products(max_order):
-                table = self._tables[n]
-                for pp, qp, rp in zip(packed_p.tolist(), packed_q.tolist(), packed_r.tolist()):
-                    table[(pp, qp)] = rp
-            return
-        for n in range(1, max_order + 1):
+        for n, packed_p, packed_q, packed_r in build_precalc_products(max_order):
             table = self._tables[n]
-            perms = [np.asarray(p, dtype=np.int64) for p in permutations(range(n))]
-            packed = [pack(p) for p in perms]
-            # products via the small sticky multiplication helper below
-            for pi, pp in zip(perms, packed):
-                for qi, qp in zip(perms, packed):
-                    table[(pp, qp)] = pack(_small_multiply(pi, qi))
+            for pp, qp, rp in zip(packed_p.tolist(), packed_q.tolist(), packed_r.tolist()):
+                table[(pp, qp)] = rp
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._tables)
@@ -106,11 +76,6 @@ class PrecalcTable:
             cached = unpack(word, n)
             self._unpacked_cache[(word, n)] = cached
         return cached
-
-
-def _small_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact sticky product for tiny orders (dense reference)."""
-    return sticky_multiply_dense(p, q)
 
 
 _shared_tables: dict[int, PrecalcTable] = {}

@@ -10,7 +10,7 @@ import numpy as np
 
 from ...errors import ShapeMismatchError
 from ...types import PermArray
-from ._core import combine, resolve_multiply, split_p, split_q
+from ._core import combine, split_p, split_q
 
 
 def _multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -25,19 +25,10 @@ def _multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return combine(rows_lo, cols_lo[r_lo_small], rows_hi, cols_hi[r_hi_small], n)
 
 
-def steady_ant_sequential(p: PermArray, q: PermArray, *, vectorize: bool = False) -> PermArray:
-    """Sticky product ``p ⊙ q`` via the unoptimized steady ant.
-
-    ``vectorize=True`` expands the same recursion breadth-first and runs
-    each level as stacked batch lanes (see
-    :mod:`repro.core.steady_ant.vectorized`); the result is
-    bit-identical, only the constant factors change.
-    """
+def steady_ant_sequential(p: PermArray, q: PermArray) -> PermArray:
+    """Sticky product ``p ⊙ q`` via the unoptimized steady ant."""
     p = np.ascontiguousarray(p, dtype=np.int64)
     q = np.ascontiguousarray(q, dtype=np.int64)
     if p.size != q.size:
         raise ShapeMismatchError(f"orders differ: {p.size} vs {q.size}")
-    vectorized = resolve_multiply(vectorize)
-    if vectorized is not None:
-        return vectorized(p, q)
     return _multiply(p, q)

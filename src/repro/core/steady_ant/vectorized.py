@@ -29,9 +29,8 @@ process *all nodes of one recursion level as stacked batch lanes*.
 
 The same batched product builds the :class:`~.precalc.PrecalcTable` in
 one shot (:func:`build_precalc_products`): all ``(5!)^2`` order-5 pairs
-are a single 14400-lane batch instead of 15017 scalar dense products,
-which is what makes the table warm-up cheap enough to pay in every
-worker process.
+are a single 14400-lane batch, which is what makes the table warm-up
+cheap enough to pay in every worker process.
 
 Index vectors for the batched kernels — at every order, base case or
 split level — are read-only views of one shared iota buffer that grows
@@ -234,8 +233,7 @@ def _multiply_vectorized(
     p: np.ndarray, q: np.ndarray, base_order: int, stats: list | None = None
 ) -> np.ndarray:
     """Breadth-first level-vectorized product (no metrics, no checks) —
-    the shared engine behind :func:`steady_ant_vectorized` and the
-    ``vectorize=`` knobs of the scalar entry points."""
+    the engine behind :func:`steady_ant_vectorized`."""
     nodes = [(p, q)]
     meta_levels = []
     floor = max(base_order, 1)
@@ -297,8 +295,7 @@ def build_precalc_products(max_order: int):
 
     Yields ``(n, packed_p, packed_q, packed_r)`` per order — the
     ``(n!)^2`` pairs of one order are a single batch (14400 lanes at the
-    paper's order 5), replacing the 15017 scalar dense products of the
-    scalar table build.
+    paper's order 5).
     """
     from itertools import permutations
 

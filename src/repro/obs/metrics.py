@@ -420,12 +420,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Recursion levels expanded breadth-first by the vectorized steady ant."),
     ("steady_ant.vectorized_plan_builds", "counter", "plans", "core.steady_ant",
      "Cold growths of the shared index buffer behind the batched kernels (zero after warm_compute_kernels)."),
-    ("compute.fused_tasks", "counter", "tasks", "core.combing",
-     "Multi-op fused tasks submitted by grid combing (adjacent levels merged under the payload budget)."),
-    ("compute.rounds_saved", "counter", "rounds", "core.combing",
-     "Machine rounds eliminated by fusing adjacent combing levels or wavefront anti-diagonals."),
-    ("compute.pipelined_rounds", "counter", "rounds", "core.combing",
-     "Grid rounds submitted while a previous round was still draining (double-buffered overlap)."),
     ("compute.multi_diag_calls", "counter", "calls", "core.bitparallel",
      "Bit-parallel LCS calls served by the multi-diagonal carry-adder column sweep."),
     ("batch.pairs", "counter", "pairs", "batch",
@@ -440,8 +434,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Real (unpadded) grid cells covered by lockstep combing (sum of m*n over lanes)."),
     ("batch.fallback_pairs", "counter", "pairs", "batch",
      "Pairs routed through the per-pair fallback path (algorithms without a lockstep kernel)."),
-    ("batch.pipeline_depth", "gauge", "rounds", "batch",
-     "Deepest submit/drain round pipeline the BatchScheduler reached (high-water mark)."),
     ("bitparallel.calls", "counter", "calls", "core.bitparallel",
      "Bit-parallel LCS computations (sequential bit_lcs)."),
     ("bitparallel.rounds", "counter", "rounds", "core.bitparallel",

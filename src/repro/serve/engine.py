@@ -58,7 +58,7 @@ class Engine:
     algorithm:
         Semi-local kernel algorithm; the default is the lockstep-batched
         one (anything else rides the per-pair fallback path).
-    max_lanes / min_side / pipeline_depth:
+    max_lanes / min_side:
         :class:`~repro.batch.BatchScheduler` knobs.
     policy:
         A :class:`~repro.parallel.resilient.FaultPolicy`; defaults to
@@ -100,7 +100,6 @@ class Engine:
         algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
         min_side: int = 16,
-        pipeline_depth: int = 2,
         policy: FaultPolicy | bool | None = None,
         chaos: dict | None = None,
         warm_precalc: bool = True,
@@ -117,7 +116,6 @@ class Engine:
         self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
         self.min_side = int(min_side)
-        self.pipeline_depth = int(pipeline_depth)
         self.policy = policy
         self.chaos = dict(chaos) if chaos else None
         self.warm_precalc = bool(warm_precalc)
@@ -183,7 +181,6 @@ class Engine:
                 algorithm=self.algorithm,
                 max_lanes=self.max_lanes,
                 min_side=self.min_side,
-                pipeline_depth=self.pipeline_depth,
                 **self.algo_kwargs,
             )
             from ..query import QueryEngine

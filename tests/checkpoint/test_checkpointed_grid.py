@@ -141,6 +141,19 @@ class TestParallelCheckpointing:
         )
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
 
+    def test_levels_store_every_node(self, tmp_path, rng):
+        """The checkpointed run walks the same plan levels as the plain
+        grid: every leaf and every compose becomes one store entry (the
+        root compose's entry doubles as the finished-run key)."""
+        a, b = random_codes(rng, 26), random_codes(rng, 22)
+        store, ckpt = checkpointer(tmp_path)
+        got = parallel_hybrid_combing_grid(
+            a, b, SerialMachine(), n_tasks=6, checkpoint=ckpt
+        )
+        assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+        n_leaves = 6  # optimal_split(26, 22, 6) is a 3x2 grid
+        assert store.stats()["writes"] == n_leaves + (n_leaves - 1)
+
     def test_threads_checkpointed(self, tmp_path, rng):
         a, b = random_codes(rng, 24), random_codes(rng, 20)
         _, ckpt = checkpointer(tmp_path)
@@ -173,6 +186,33 @@ class TestParallelCheckpointing:
         )
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
         assert store2.stats()["hits"] >= 3
+
+    def test_crash_mid_level_resumes(self, tmp_path, rng):
+        """A run dying inside a reduction level — every leaf and one
+        compose of the level done — resumes with all of them as store
+        hits, on a different machine."""
+        a, b = random_codes(rng, 28), random_codes(rng, 28)
+        store, ckpt = checkpointer(tmp_path)
+        n_leaves = 6  # optimal_split(28, 28, 6) is a 3x2 grid
+        machine = ResilientMachine(
+            ChaosMachine(SerialMachine(), abort_after=n_leaves + 1, seed=1),
+            FaultPolicy(max_retries=2),
+            sleep=lambda s: None,
+        )
+        with pytest.raises(ChaosProcessDeath):
+            parallel_hybrid_combing_grid(a, b, machine, n_tasks=6, checkpoint=ckpt)
+        ckpt.flush()
+        assert store.stats()["writes"] == n_leaves + 1
+        store2 = KernelStore(tmp_path / "store")
+        with ThreadMachine(workers=2) as resume_machine:
+            got = parallel_hybrid_combing_grid(
+                a, b, resume_machine, n_tasks=6,
+                checkpoint=GridCheckpointer(store2, compose_min_order=0),
+            )
+        assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+        # the crashed run's leaves and its one finished compose (finish()
+        # adds one more hit: the root compose already stored the root key)
+        assert store2.stats()["hits"] == n_leaves + 2
 
     @settings(max_examples=10, deadline=None)
     @given(a=codes, b=codes, abort_after=st.integers(0, 20), seed=st.integers(0, 99))

@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -107,6 +109,38 @@ class TestRoundtrip:
         key = put_one(store)
         clone = pickle.loads(pickle.dumps(store))
         assert np.array_equal(clone.get(key), PERM)
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        """Threads writing the same key (two daemon flushes that built
+        the same kernel) must not rename each other's temp files away."""
+        store = KernelStore(tmp_path)
+        key = kernel_key(np.arange(2), np.arange(2), "algo")
+        errors = []
+        start = threading.Barrier(8)
+
+        def writer():
+            start.wait()
+            for _ in range(50):
+                try:
+                    store.put(key, PERM, algorithm="algo", m=2, n=2)
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert np.array_equal(store.get(key), PERM)
+        assert store.verify() == {key: "ok"}
+        assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 class TestCounterSidecar:

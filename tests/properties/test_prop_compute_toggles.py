@@ -1,9 +1,9 @@
-"""Property tests for PR 8's compute toggles.
+"""Property tests for the compute choices that must not change results.
 
-Every optimization is a pure scheduling/batching change, so each knob —
-vectorized steady ant, fused reduction rounds, pipelined submission,
-wavefront fusion, the multi-diagonal bit comber — must be *bit-identical*
-to its off position across random inputs, blends and strand dtypes.
+The vectorized steady ant, the parallel grid's level schedule and the
+multi-diagonal bit comber are pure batching/scheduling changes, so each
+must be *bit-identical* to its reference across random inputs, blends,
+strand dtypes, braid multiplications and machines.
 """
 
 import numpy as np
@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core.bitparallel import bit_lcs
 from repro.core.combing.hybrid import hybrid_combing_grid
-from repro.core.combing.parallel import (
-    parallel_hybrid_combing_grid,
-    parallel_iterative_combing,
+from repro.core.combing.parallel import parallel_hybrid_combing_grid
+from repro.core.steady_ant import (
+    steady_ant_multiply,
+    steady_ant_sequential,
+    steady_ant_vectorized,
 )
-from repro.core.steady_ant import steady_ant_sequential, steady_ant_vectorized
 from repro.parallel import SerialMachine, ThreadMachine
 
 strings = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -41,47 +42,16 @@ def test_vectorized_equals_scalar(pq):
        st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_all_toggle_combinations_agree(a, b, blend, use_16bit):
-    machine = SerialMachine()
     want = hybrid_combing_grid(a, b, 3)
-    for vectorize in (False, True):
-        for fuse_rounds in (False, True):
-            for pipeline in (False, True):
+    with ThreadMachine(workers=2) as threads:
+        for machine in (SerialMachine(), threads):
+            for multiply in (steady_ant_multiply, steady_ant_vectorized):
                 got = parallel_hybrid_combing_grid(
                     a, b, machine, n_tasks=4, blend=blend, use_16bit=use_16bit,
-                    vectorize=vectorize, fuse_rounds=fuse_rounds,
-                    pipeline=pipeline,
+                    multiply=multiply,
                 )
                 assert np.array_equal(np.asarray(got, dtype=np.int64), want), (
-                    vectorize, fuse_rounds, pipeline)
-
-
-@given(strings, strings, st.sampled_from([0, 64, 4096, None, 10**9]))
-@settings(max_examples=30, deadline=None)
-def test_fuse_budget_never_changes_the_kernel(a, b, budget):
-    machine = SerialMachine()
-    want = parallel_hybrid_combing_grid(
-        a, b, machine, n_tasks=4, fuse_rounds=False, pipeline=False,
-        vectorize=False,
-    )
-    got = parallel_hybrid_combing_grid(
-        a, b, machine, n_tasks=4, fuse_rounds=True, fuse_budget=budget,
-    )
-    assert np.array_equal(np.asarray(got, dtype=np.int64),
-                          np.asarray(want, dtype=np.int64))
-
-
-@given(strings, strings, st.sampled_from([None, 1, 8, 10**9]))
-@settings(max_examples=30, deadline=None)
-def test_wavefront_fusion_equals_unfused(a, b, budget):
-    machine = ThreadMachine(workers=2)
-    try:
-        want = parallel_iterative_combing(a, b, machine, fuse_rounds=False)
-        got = parallel_iterative_combing(
-            a, b, machine, fuse_rounds=True, fuse_budget=budget
-        )
-    finally:
-        machine.close()
-    assert np.array_equal(got, want)
+                    machine, multiply)
 
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=200)
