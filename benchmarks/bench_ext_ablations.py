@@ -31,7 +31,11 @@ def test_blend_idiom(benchmark, blend, pair):
     a, b = pair
     benchmark.group = "ablation: inner-loop blend"
     benchmark.pedantic(
-        iterative_combing_antidiag_simd, args=(a, b), kwargs={"blend": blend}, rounds=2, iterations=1
+        iterative_combing_antidiag_simd,
+        args=(a, b),
+        kwargs={"blend": blend, "use_16bit_when_possible": False},
+        rounds=2,
+        iterations=1,
     )
 
 
@@ -42,7 +46,7 @@ def test_strand_index_width(benchmark, dtype, pair):
     benchmark.pedantic(
         iterative_combing_antidiag_simd,
         args=(a, b),
-        kwargs={"dtype": np.dtype(dtype)},
+        kwargs={"dtype": np.dtype(dtype), "blend": "where"},
         rounds=2,
         iterations=1,
     )
@@ -86,7 +90,10 @@ def test_ablation_table(benchmark, print_table, pair):
                 "blend",
                 blend,
                 time_call(
-                    lambda: iterative_combing_antidiag_simd(a, b, blend=blend), repeats=1
+                    lambda: iterative_combing_antidiag_simd(
+                        a, b, blend=blend, use_16bit_when_possible=False
+                    ),
+                    repeats=1,
                 ),
             )
         for dtype in (np.int64, np.uint16):
@@ -94,7 +101,8 @@ def test_ablation_table(benchmark, print_table, pair):
                 "dtype",
                 np.dtype(dtype).name,
                 time_call(
-                    lambda: iterative_combing_antidiag_simd(a, b, dtype=dtype), repeats=1
+                    lambda: iterative_combing_antidiag_simd(a, b, dtype=dtype, blend="where"),
+                    repeats=1,
                 ),
             )
         return table

@@ -61,7 +61,7 @@ def hybrid_combing(
     depth: int = 2,
     *,
     multiply=None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     on_leaf=None,
 ) -> PermArray:
@@ -269,7 +269,7 @@ def hybrid_combing_grid(
     n_tasks: int = 8,
     *,
     multiply=None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     strand_limit: int | None = None,
     reduction: str = "longest-side",
@@ -315,16 +315,16 @@ def hybrid_combing_grid(
 def _hybrid_combing_grid_impl(
     a: Sequenceish,
     b: Sequenceish,
-    n_tasks: int = 8,
+    n_tasks: int,
     *,
-    multiply=None,
-    blend: str = "where",
-    use_16bit: bool = True,
-    strand_limit: int | None = None,
-    reduction: str = "longest-side",
-    on_leaf=None,
-    on_compose=None,
-    checkpoint=None,
+    multiply,
+    blend: str,
+    use_16bit: bool,
+    strand_limit: int | None,
+    reduction: str,
+    on_leaf,
+    on_compose,
+    checkpoint,
 ) -> PermArray:
     ca, cb = encode(a), encode(b)
     m, n = ca.size, cb.size

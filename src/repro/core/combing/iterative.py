@@ -25,13 +25,19 @@ Variants implemented here:
 - :func:`iterative_combing_antidiag` — Listing 4's anti-diagonal order
   with a scalar, *branching* inner loop (``semi_antidiag``).
 - :func:`iterative_combing_antidiag_simd` — anti-diagonal order with a
-  branchless vectorized inner loop (``semi_antidiag_SIMD``); the ``blend``
-  parameter selects the select-idiom (the paper's §4.1 ablation) and
-  ``dtype`` enables the 16-bit strand-index optimization.
+  branchless vectorized inner loop (``semi_antidiag_SIMD``). By default it
+  runs :func:`comb_antidiagonals` on ``uint16`` strands whenever the
+  ``m + n`` strand ids fit (:func:`strand_dtype`); ``blend`` selects one
+  of the paper's §4.1 select idioms instead and ``dtype`` /
+  ``use_16bit_when_possible`` pick the strand width (the ablations).
 - :func:`iterative_combing_load_balanced` — the three-phase variant
   (``semi_load_balanced``): each phase combed as an independent sub-braid,
   converted to cut coordinates and recombined with sticky braid
   multiplication (Fig. 2 of the paper).
+
+:func:`comb_antidiagonals` is the one anti-diagonal kernel: the
+single-pair, load-balanced, hybrid, parallel and lockstep combers all run
+their default ``blend="arith"`` through it.
 """
 
 from __future__ import annotations
@@ -88,23 +94,22 @@ def iterative_combing_rowmajor(a: Sequenceish, b: Sequenceish) -> PermArray:
     return _extract_kernel(np.asarray(h_strands), np.asarray(v_strands))
 
 
-def _antidiag_ranges(m: int, n: int):
-    """Yield ``(length, h_lo, v_lo)`` for every anti-diagonal of an
-    ``m x n`` grid with ``m <= n`` (Listing 4's three phases).
+def _antidiag_ranges(m: int, n: int, d_lo: int = 0, d_hi: int | None = None):
+    """``(length, h_lo, v_lo)`` for each of the anti-diagonals
+    ``d_lo <= d < d_hi`` of an ``m x n`` grid (all ``m + n - 1`` of them
+    by default; for ``m <= n`` these are Listing 4's growing, full-length
+    and shrinking phases).
 
     ``h_lo``/``v_lo`` index into ``h_strands``/``v_strands``; cell ``k`` of
     the anti-diagonal touches ``h_strands[h_lo + k]`` and
     ``v_strands[v_lo + k]``.
     """
-    # phase 1: growing anti-diagonals (top-left triangle)
-    for d in range(0, m - 1):
-        yield d + 1, m - 1 - d, 0
-    # phase 2: full-length anti-diagonals
-    for d in range(m - 1, n):
-        yield m, 0, d - m + 1
-    # phase 3: shrinking anti-diagonals (bottom-right triangle)
-    for d in range(n, m + n - 1):
-        yield m + n - 1 - d, 0, d - m + 1
+    # built as arrays and walked as lists: cheaper per anti-diagonal than
+    # any Python-level generator
+    d = np.arange(d_lo, m + n - 1 if d_hi is None else d_hi)
+    i_hi = np.minimum(d, m - 1)
+    i_lo = np.maximum(d - n + 1, 0)
+    return zip((i_hi - i_lo + 1).tolist(), (m - 1 - i_hi).tolist(), (d - i_hi).tolist())
 
 
 def iterative_combing_antidiag(a: Sequenceish, b: Sequenceish) -> PermArray:
@@ -145,12 +150,6 @@ def _blend_masked(h, v, p):
     return new_h, new_v
 
 
-def _blend_arith(h, v, p):
-    q = p.astype(h.dtype)
-    one = h.dtype.type(1)
-    return h * (one - q) + q * v, v * (one - q) + q * h
-
-
 def _blend_bitwise(h, v, p):
     # p in {0, 1}: (p - 1) is all-zeros / all-ones, (-p) the complement.
     q = p.astype(h.dtype)
@@ -175,76 +174,143 @@ def _minmax_select(h, v, match):
     return np.where(match, v, lo), np.where(match, h, hi)
 
 
+#: the §4.1 select idioms; ``"arith"`` is :func:`comb_antidiagonals` and
+#: ``"minmax"`` the match-mask-only select of :func:`_comb_select`
 _BLENDS = {
     "where": _blend_where,
     "masked": _blend_masked,
-    "arith": _blend_arith,
     "bitwise": _blend_bitwise,
-    # callers that precompute the full condition p = match | (h > v) get
-    # the equivalent select; the true match-mask-only min/max computation
-    # lives on the sequential SIMD path in _comb_region_simd
-    "minmax": _blend_where,
 }
 
 
-def _strand_dtype(m: int, n: int, dtype) -> np.dtype:
-    if dtype is not None:
-        dt = np.dtype(dtype)
-        if m + n - 1 > np.iinfo(dt).max:
-            raise ValueError(f"dtype {dt} cannot hold {m + n} strand indices")
-        return dt
+def strand_dtype(m: int, n: int, use_16bit: bool = True) -> np.dtype:
+    """Strand-index dtype of an ``m x n`` grid: ``uint16`` when all
+    ``m + n`` strand ids fit (the paper's SIMD-width optimization; here it
+    halves memory traffic and the bytes a process machine ships), else
+    ``int64``."""
+    if use_16bit and m + n <= _UNSIGNED_LIMIT_16:
+        return np.dtype(np.uint16)
     return np.dtype(np.int64)
+
+
+def antidiag_scratch(h: np.ndarray, width: int):
+    """Scratch for :func:`comb_antidiagonals` on strands shaped like *h*
+    whose anti-diagonals have at most *width* cells."""
+    shape = (width,) + h.shape[1:]
+    return np.empty(shape, np.bool_), np.empty(shape, np.bool_), np.empty(shape, h.dtype)
+
+
+def comb_antidiagonals(a_rev, b, h, v, ranges, h_valid=None, b_valid=None, scratch=None) -> None:
+    """The anti-diagonal kernel: comb the cells of *ranges* in place.
+
+    Each cell is one comparator of the transposition network (Krusche and
+    Tiskin): its strands swap iff ``p = match | (h > v)``. The swap is the
+    branch-free arithmetic ``d = (v - h) * p; h += d; v -= d`` — exact for
+    ``uint16`` strands too under modular arithmetic — written into scratch
+    that is allocated once per call (or passed in, see
+    :func:`antidiag_scratch`), so an anti-diagonal costs 7 NumPy
+    dispatches (9 with validity masks) and no allocation.
+
+    Strands are 1-D (one grid: ``h`` is ``(m,)``, ``v`` is ``(n,)``) or
+    2-D ``(positions, lanes)`` (B grids combed in lockstep), with
+    ``a_rev``/``b`` shaped alike. ``h_valid``/``b_valid`` gate the swap so
+    padding cells of ragged lanes never swap. *ranges* yields ``(length,
+    h_lo, v_lo)`` triples as :func:`_antidiag_ranges` does.
+    """
+    if scratch is None:
+        scratch = antidiag_scratch(h, min(h.shape[0], v.shape[0]))
+    p, q, d = scratch
+    for length, h_lo, v_lo in ranges:
+        h_sl = slice(h_lo, h_lo + length)
+        v_sl = slice(v_lo, v_lo + length)
+        hh = h[h_sl]
+        vv = v[v_sl]
+        pp = p[:length]
+        qq = q[:length]
+        dd = d[:length]
+        np.equal(a_rev[h_sl], b[v_sl], out=pp)
+        np.greater(hh, vv, out=qq)
+        np.logical_or(pp, qq, out=pp)
+        if h_valid is not None:
+            np.logical_and(pp, h_valid[h_sl], out=pp)
+            np.logical_and(pp, b_valid[v_sl], out=pp)
+        np.subtract(vv, hh, out=dd)
+        np.multiply(dd, pp, out=dd, casting="unsafe")
+        np.add(hh, dd, out=hh)
+        np.subtract(vv, dd, out=vv)
+
+
+def _comb_select(a_rev, b, h, v, ranges, blend: str, h_valid=None, b_valid=None) -> None:
+    """:func:`comb_antidiagonals` with one of the §4.1 select idioms in
+    place of the arithmetic swap (the ablations; they allocate per
+    anti-diagonal)."""
+    minmax = blend == "minmax"
+    select = None if minmax else _BLENDS[blend]
+    for length, h_lo, v_lo in ranges:
+        h_sl = slice(h_lo, h_lo + length)
+        v_sl = slice(v_lo, v_lo + length)
+        hh = h[h_sl]
+        vv = v[v_sl]
+        valid = None if h_valid is None else h_valid[h_sl] & b_valid[v_sl]
+        if minmax:
+            match = a_rev[h_sl] == b[v_sl]
+            if valid is not None:
+                match &= valid
+            new_h, new_v = _minmax_select(hh, vv, match)
+            if valid is not None:
+                # min/max sorts even unmatched lanes: undo it at padding
+                # cells, which must stay untouched
+                invalid = ~valid
+                np.copyto(new_h, hh, where=invalid)
+                np.copyto(new_v, vv, where=invalid)
+        else:
+            cond = (a_rev[h_sl] == b[v_sl]) | (hh > vv)
+            if valid is not None:
+                cond &= valid
+            new_h, new_v = select(hh, vv, cond)
+        h[h_sl] = new_h
+        v[v_sl] = new_v
 
 
 def _comb_region_simd(
     a_rev: CodeArray,
-    cb: CodeArray,
+    b: CodeArray,
     h_strands: np.ndarray,
     v_strands: np.ndarray,
     ranges,
     blend: BlendKind,
+    h_valid=None,
+    b_valid=None,
+    scratch=None,
 ) -> None:
-    """Comb the cells described by *ranges* in place (vectorized inner loop)."""
-    if blend == "minmax":
-        for length, h_lo, v_lo in ranges:
-            h_sl = slice(h_lo, h_lo + length)
-            v_sl = slice(v_lo, v_lo + length)
-            h = h_strands[h_sl]
-            v = v_strands[v_sl]
-            match = a_rev[h_sl] == cb[v_sl]
-            new_h, new_v = _minmax_select(h, v, match)
-            h_strands[h_sl] = new_h
-            v_strands[v_sl] = new_v
-        return
-    select = _BLENDS[blend]
-    for length, h_lo, v_lo in ranges:
-        h_sl = slice(h_lo, h_lo + length)
-        v_sl = slice(v_lo, v_lo + length)
-        h = h_strands[h_sl]
-        v = v_strands[v_sl]
-        p = (a_rev[h_sl] == cb[v_sl]) | (h > v)
-        new_h, new_v = select(h, v, p)
-        h_strands[h_sl] = new_h
-        v_strands[v_sl] = new_v
+    """Comb the cells described by *ranges* in place: the kernel for
+    ``blend="arith"``, the named select idiom otherwise."""
+    if blend == "arith":
+        comb_antidiagonals(a_rev, b, h_strands, v_strands, ranges, h_valid, b_valid, scratch)
+    else:
+        _comb_select(a_rev, b, h_strands, v_strands, ranges, blend, h_valid, b_valid)
 
 
 def iterative_combing_antidiag_simd(
     a: Sequenceish,
     b: Sequenceish,
     *,
-    blend: BlendKind = "where",
+    blend: BlendKind = "arith",
     dtype=None,
-    use_16bit_when_possible: bool = False,
+    use_16bit_when_possible: bool = True,
 ) -> PermArray:
     """Branchless vectorized anti-diagonal combing (``semi_antidiag_SIMD``).
 
     Each anti-diagonal is one batch of element-wise NumPy operations — the
-    Python analogue of the paper's AVX inner loop. ``blend`` picks the
-    branch-elimination idiom from §4.1 (``where``/``arith``/``bitwise``
-    write everything, ``masked`` emulates the branching version's fewer
-    memory writes). With ``use_16bit_when_possible`` strand indices are
-    stored as ``uint16`` whenever ``m + n <= 2^16`` (the paper's SIMD-width
-    optimization; here it halves memory traffic).
+    Python analogue of the paper's AVX inner loop. The default
+    ``blend="arith"`` is :func:`comb_antidiagonals`'s in-place arithmetic
+    swap; the other values are the branch-elimination idioms of the §4.1
+    ablation (``where``/``bitwise`` write everything, ``masked`` emulates
+    the branching version's fewer memory writes, ``minmax`` is the §6
+    masked min/max). Strand indices are ``uint16`` whenever
+    ``m + n <= 2^16 - 1`` (:func:`strand_dtype`) unless
+    ``use_16bit_when_possible=False``; an explicit ``dtype`` overrides
+    both.
     """
     ca, cb = _encode_pair(a, b)
     if ca.size > cb.size:
@@ -255,13 +321,16 @@ def iterative_combing_antidiag_simd(
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
-    if use_16bit_when_possible and dtype is None and m + n <= _UNSIGNED_LIMIT_16:
-        dtype = np.uint16
     metrics = get_metrics()
     metrics.inc("combing.leaf_calls", 1)
     metrics.inc("combing.leaf_cells", m * n)
     with phase("combing"), get_tracer().span("combing.leaf", args={"m": m, "n": n}):
-        dt = _strand_dtype(m, n, dtype)
+        if dtype is None:
+            dt = strand_dtype(m, n, use_16bit_when_possible)
+        else:
+            dt = np.dtype(dtype)
+            if m + n - 1 > np.iinfo(dt).max:
+                raise ValueError(f"dtype {dt} cannot hold {m + n} strand indices")
         h_strands = np.arange(m, dtype=dt)
         v_strands = np.arange(m, m + n, dtype=dt)
         a_rev = np.ascontiguousarray(ca[::-1])
@@ -312,20 +381,10 @@ def _region_braid_positions(
     region*?) is evaluated in the region's own position order — with track
     ids it would be wrong for interior regions.
     """
-    h_in, v_in = cut_positions(d_lo, m, n)
-    h_strands = h_in.copy()
-    v_strands = v_in.copy()
-
-    def ranges():
-        for d in range(d_lo, d_hi):
-            i_lo = max(0, d - n + 1)
-            i_hi = min(m - 1, d)
-            length = i_hi - i_lo + 1
-            h_lo = m - 1 - i_hi
-            v_lo = d - i_hi
-            yield length, h_lo, v_lo
-
-    _comb_region_simd(a_rev, cb, h_strands, v_strands, ranges(), blend)
+    h_strands, v_strands = cut_positions(d_lo, m, n)
+    _comb_region_simd(
+        a_rev, cb, h_strands, v_strands, _antidiag_ranges(m, n, d_lo, d_hi), blend
+    )
     h_out, v_out = cut_positions(d_hi, m, n)
     perm = np.empty(m + n, dtype=np.int64)
     # the strand labelled with entry position h_strands[l] sits on
@@ -339,7 +398,7 @@ def iterative_combing_load_balanced(
     a: Sequenceish,
     b: Sequenceish,
     *,
-    blend: BlendKind = "where",
+    blend: BlendKind = "arith",
     multiply=None,
 ) -> PermArray:
     """Three-phase load-balanced combing (``semi_load_balanced``).
@@ -391,12 +450,8 @@ def _flip_kernel(kernel_ba: PermArray, m_b: int, n_a: int) -> PermArray:
 
 
 def lcs_score_from_kernel(kernel: PermArray, m: int, n: int) -> int:
-    """Global LCS score directly from the kernel.
-
-    ``LCS(a, b)`` equals the number of strands that start on the left edge
-    and end on the right edge is ``m - score`` ... more usefully: see
-    :class:`repro.core.kernel.SemiLocalKernel`; this helper just asks it.
-    """
+    """Global LCS score ``LCS(a, b)`` of the ``m x n`` grid whose kernel
+    is *kernel* (:meth:`repro.core.kernel.SemiLocalKernel.lcs_whole`)."""
     from ..kernel import SemiLocalKernel
 
     return SemiLocalKernel(kernel, m, n).lcs_whole()

@@ -41,20 +41,15 @@ from .hybrid import (
     run_grid_levels,
 )
 from .iterative import (
-    _BLENDS,
     _UNSIGNED_LIMIT_16,
     _antidiag_ranges,
+    _comb_region_simd,
     _extract_kernel,
     _flip_kernel,
+    antidiag_scratch,
     cut_positions,
+    strand_dtype,
 )
-
-
-def _strands_dtype(m: int, n: int, use_16bit: bool):
-    """Strand-label dtype: ``uint16`` when every label fits (the paper's
-    SIMD-width optimization — here it also halves the bytes a real
-    process machine ships per round)."""
-    return np.uint16 if (use_16bit and m + n <= _UNSIGNED_LIMIT_16) else np.int64
 
 
 # -- picklable grid tasks (shipped to worker processes by spec) -------------
@@ -77,18 +72,13 @@ def _grid_compose(op, p, q, multiply, compact):
     return _compact_perm(op.compose(p, q, multiply), compact)
 
 
-def _make_diag_thunk(a_rev, cb, h_strands, v_strands, h_lo, v_lo, length, select):
-    """Comb the ``length`` cells of one anti-diagonal in place."""
+def _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch):
+    """Comb the cells of one anti-diagonal ``diag = (length, h_lo, v_lo)``
+    in place. *scratch* belongs to these strands alone: one round may run
+    thunks of different strand states at once on a thread machine."""
 
     def thunk():
-        h_sl = slice(h_lo, h_lo + length)
-        v_sl = slice(v_lo, v_lo + length)
-        h = h_strands[h_sl]
-        v = v_strands[v_sl]
-        p = (a_rev[h_sl] == cb[v_sl]) | (h > v)
-        new_h, new_v = select(h, v, p)
-        h_strands[h_sl] = new_h
-        v_strands[v_sl] = new_v
+        _comb_region_simd(a_rev, cb, h_strands, v_strands, (diag,), blend, scratch=scratch)
 
     return thunk
 
@@ -98,7 +88,7 @@ def parallel_iterative_combing(
     b: Sequenceish,
     machine,
     *,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = False,
 ) -> PermArray:
     """Listing 4: wavefront combing, one synchronized round per
@@ -129,16 +119,14 @@ def parallel_iterative_combing(
     with _obs_phase("combing"), get_tracer().span(
         "combing.wavefront", args={"m": m, "n": n}
     ):
-        select = _BLENDS[blend]
         a_rev = np.ascontiguousarray(ca[::-1])
-        dt = _strands_dtype(m, n, use_16bit)
+        dt = strand_dtype(m, n, use_16bit)
         h_strands = np.arange(m, dtype=dt)
         v_strands = np.arange(m, m + n, dtype=dt)
-        for length, h_lo, v_lo in _antidiag_ranges(m, n):
-            thunk = _make_diag_thunk(
-                a_rev, cb, h_strands, v_strands, h_lo, v_lo, length, select
-            )
-            machine.run_uniform_round([(thunk, length)])
+        scratch = antidiag_scratch(h_strands, m)
+        for diag in _antidiag_ranges(m, n):
+            thunk = _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch)
+            machine.run_uniform_round([(thunk, diag[0])])
         return _extract_kernel(h_strands, v_strands)
 
 
@@ -147,7 +135,7 @@ def parallel_load_balanced_combing(
     b: Sequenceish,
     machine,
     *,
-    blend: str = "where",
+    blend: str = "arith",
     multiply=None,
     use_16bit: bool = False,
 ) -> PermArray:
@@ -185,33 +173,27 @@ def parallel_load_balanced_combing(
 
 
 def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16bit):
-    select = _BLENDS[blend]
     a_rev = np.ascontiguousarray(ca[::-1])
-    dt = _strands_dtype(m, n, use_16bit)
+    dt = strand_dtype(m, n, use_16bit)
 
     cuts = [0, max(0, m - 1), n, m + n - 1]
 
-    # phase 1 and phase 3 strand states (independent sub-braids,
-    # labelled by entry-cut positions: see _region_braid_positions)
+    # phase 1, 2 and 3 strand states (independent sub-braids, labelled by
+    # entry-cut positions: see _region_braid_positions), each with its
+    # own kernel scratch
     states = {}
     for phase, (d_lo, d_hi) in enumerate(zip(cuts, cuts[1:]), start=1):
         h_in, v_in = cut_positions(d_lo, m, n)
-        states[phase] = (h_in.astype(dt), v_in.astype(dt), d_lo, d_hi)
-
-    def diag_slices(d):
-        i_lo = max(0, d - n + 1)
-        i_hi = min(m - 1, d)
-        return i_hi - i_lo + 1, m - 1 - i_hi, d - i_hi
+        h_in = h_in.astype(dt)
+        states[phase] = (h_in, v_in.astype(dt), d_lo, d_hi, antidiag_scratch(h_in, m))
 
     def phase_task(phase, d):
-        h_strands, v_strands, d_lo, d_hi = states[phase]
+        h_strands, v_strands, d_lo, d_hi, scratch = states[phase]
         if not (d_lo <= d < d_hi):
             return None
-        length, h_lo, v_lo = diag_slices(d)
-        thunk = _make_diag_thunk(
-            a_rev, cb, h_strands, v_strands, h_lo, v_lo, length, select
-        )
-        return thunk, length
+        (diag,) = _antidiag_ranges(m, n, d, d + 1)
+        thunk = _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch)
+        return thunk, diag[0]
 
     # joint rounds for phases 1 and 3 (balanced: the k-th growing and the
     # k-th shrinking anti-diagonal together process exactly m cells)
@@ -237,7 +219,7 @@ def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16b
     for phase, (d_lo, d_hi) in enumerate(zip(cuts, cuts[1:]), start=1):
         if d_hi <= d_lo:
             continue
-        h_strands, v_strands, _, _ = states[phase]
+        h_strands, v_strands = states[phase][:2]
         h_out, v_out = cut_positions(d_hi, m, n)
         perm = np.empty(m + n, dtype=np.int64)
         perm[h_strands] = h_out
@@ -255,7 +237,7 @@ def parallel_hybrid_combing_grid(
     machine,
     *,
     n_tasks: int | None = None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     multiply=None,
     strand_limit: int | None = None,
@@ -310,12 +292,12 @@ def _parallel_hybrid_grid_impl(
     b: Sequenceish,
     machine,
     *,
-    n_tasks: int | None = None,
-    blend: str = "where",
-    use_16bit: bool = True,
-    multiply=None,
-    strand_limit: int | None = None,
-    checkpoint=None,
+    n_tasks: int | None,
+    blend: str,
+    use_16bit: bool,
+    multiply,
+    strand_limit: int | None,
+    checkpoint,
 ) -> PermArray:
     ca, cb = encode(a), encode(b)
     m, n = ca.size, cb.size

@@ -409,8 +409,25 @@ atexit.register(release_all_arenas)
 # ---------------------------------------------------------------------------
 
 #: per-process cache of attached segments (never unlinked here; the
-#: owning arena controls lifetime, the OS reclaims mappings at exit)
+#: owning arena controls lifetime). :func:`run_chunk` closes the
+#: attachments of segments the owner has since unlinked.
 _ATTACHED: dict[str, Any] = {}
+
+
+def _drop_unlinked_attachments() -> None:
+    """Close and forget every cached attachment whose segment name is
+    gone from ``/dev/shm``: the owner released it, so no future handle
+    names it, and keeping the mapping would pin its pages for the life
+    of the worker. A mapping a live view still exports stays cached
+    until a later sweep."""
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
+        return
+    for name in [n for n in _ATTACHED if not os.path.exists(os.path.join(_SHM_DIR, n))]:
+        try:
+            _ATTACHED[name].close()
+        except BufferError:
+            continue
+        del _ATTACHED[name]
 
 
 def resolve(obj: Any) -> Any:
@@ -493,7 +510,11 @@ def run_chunk(payload: bytes) -> bytes:
     present, so worker spans re-parent under the submitting round and
     worker metric deltas merge into the parent registry (see
     ``repro.obs``). Failure payloads are always ``("err", i, exc)``.
+
+    Each chunk first closes the worker's cached attachments to segments
+    the parent has unlinked since, so their pages are freed.
     """
+    _drop_unlinked_attachments()
     loaded = pickle.loads(payload)
     specs, share_prefix = loaded[0], loaded[1]
     obs_req = loaded[2] if len(loaded) > 2 else None

@@ -4,8 +4,9 @@ Covers the :class:`~repro.parallel.transport.SharedArena` lifecycle (no
 leaked ``/dev/shm`` segments after close, rebuild, worker crash or
 SIGTERM), handle round-trips across dtypes/shapes/slices (hypothesis),
 transport equality of every parallel entry point against the sequential
-oracles, the chaos-injected shared-memory-loss fallback, and the uint16
-strand/kernel compaction.
+oracles, the chaos-injected shared-memory-loss fallback, workers dropping
+their attachments to unlinked segments, and the uint16 strand/kernel
+compaction.
 """
 
 import glob
@@ -60,6 +61,12 @@ def _double(a, k):
 
 def _die():
     os._exit(1)
+
+
+def _attachments():
+    from repro.parallel import transport
+
+    return os.getpid(), len(transport._ATTACHED)
 
 
 @pytest.fixture(autouse=True)
@@ -236,6 +243,21 @@ class TestProcessTransport:
             out = run_array_round(m, [(_double, (bx, 2), {})])
             assert np.array_equal(machine_localize(m, out[0]), x * 2)
         # the autouse fixture asserts nothing leaked after close()
+
+    def test_worker_attachments_stay_bounded(self):
+        # every grid call broadcasts fresh inputs and ships fresh leaf and
+        # level kernels; once the parent unlinks them a worker must drop
+        # its attachments instead of mapping their pages for good
+        from repro.core.combing.parallel import parallel_hybrid_combing_grid
+
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 4, 600), rng.integers(0, 4, 700)
+        with ProcessMachine(workers=2, transport="shm") as m:
+            for _ in range(20):
+                parallel_hybrid_combing_grid(a, b, m)
+            counts = dict(run_array_round(m, [(_attachments, (), {})] * 8))
+        # at most one call's segments (without the sweep: ~2 per call)
+        assert max(counts.values()) <= 8, counts
 
     def test_round_deadline_shared_across_tasks(self):
         # 4 x 0.2s sleeps on 1 worker: per-task waits would pass a 0.3s
