@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from ..alphabet import encode
-from ..core.combing.iterative import _flip_kernel
+from ..core.compose import flip_kernel
 from ..obs import get_tracer, phase
 from ..obs.metrics import get_metrics
 from ..parallel.transport import (
@@ -327,7 +327,7 @@ class BatchScheduler:
             m, n = cx.size, cy.size
             kern = res[k, : m + n].astype(np.int64)  # copies out of any arena
             if flipped:
-                kern = _flip_kernel(kern, m, n)
+                kern = flip_kernel(kern)
             out[i] = (kern, (n if flipped else m), (m if flipped else n))
 
 

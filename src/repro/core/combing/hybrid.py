@@ -30,29 +30,13 @@ from ...obs import get_metrics, get_tracer, phase
 from ...types import PermArray, Sequenceish
 from ..compose import compose_horizontal, compose_vertical
 from .iterative import iterative_combing_antidiag_simd
+from .recursive import split_and_compose
 
 
 def _leaf(ca, cb, blend, use_16bit):
     return iterative_combing_antidiag_simd(
         ca, cb, blend=blend, use_16bit_when_possible=use_16bit
     )
-
-
-def _rec(ca, cb, depth, multiply, blend, use_16bit, on_leaf=None):
-    m, n = ca.size, cb.size
-    if depth <= 0 or m + n <= 2 or m == 0 or n == 0:
-        if on_leaf is not None:
-            on_leaf(m, n)
-        return _leaf(ca, cb, blend, use_16bit)
-    if m <= n:
-        half = n // 2
-        left = _rec(ca, cb[:half], depth - 1, multiply, blend, use_16bit, on_leaf)
-        right = _rec(ca, cb[half:], depth - 1, multiply, blend, use_16bit, on_leaf)
-        return compose_horizontal(left, right, m, half, n - half, multiply)
-    half = m // 2
-    top = _rec(ca[:half], cb, depth - 1, multiply, blend, use_16bit, on_leaf)
-    bottom = _rec(ca[half:], cb, depth - 1, multiply, blend, use_16bit, on_leaf)
-    return compose_vertical(top, bottom, half, m - half, n, multiply)
 
 
 def hybrid_combing(
@@ -73,8 +57,14 @@ def hybrid_combing(
     """
     if multiply is None:
         from ..steady_ant import steady_ant_multiply as multiply
+
+    def leaf(ca, cb):
+        if on_leaf is not None:
+            on_leaf(ca.size, cb.size)
+        return _leaf(ca, cb, blend, use_16bit)
+
     with phase("combing"), get_tracer().span("combing.hybrid", args={"depth": depth}):
-        return _rec(encode(a), encode(b), depth, multiply, blend, use_16bit, on_leaf)
+        return split_and_compose(encode(a), encode(b), leaf, multiply, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ import numpy as np
 from ...alphabet import encode
 from ...obs import get_metrics, get_tracer, phase
 from ...types import CodeArray, PermArray, Sequenceish
+from ..compose import flip_kernel
 
 BlendKind = Literal["where", "masked", "arith", "bitwise", "minmax"]
 
@@ -118,7 +119,7 @@ def iterative_combing_antidiag(a: Sequenceish, b: Sequenceish) -> PermArray:
     wavefront order without SIMD."""
     ca, cb = _encode_pair(a, b)
     if ca.size > cb.size:
-        return _flip_kernel(iterative_combing_antidiag(cb, ca), cb.size, ca.size)
+        return flip_kernel(iterative_combing_antidiag(cb, ca))
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
@@ -317,7 +318,7 @@ def iterative_combing_antidiag_simd(
         flipped = iterative_combing_antidiag_simd(
             cb, ca, blend=blend, dtype=dtype, use_16bit_when_possible=use_16bit_when_possible
         )
-        return _flip_kernel(flipped, cb.size, ca.size)
+        return flip_kernel(flipped)
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
@@ -415,10 +416,8 @@ def iterative_combing_load_balanced(
     """
     ca, cb = _encode_pair(a, b)
     if ca.size > cb.size:
-        return _flip_kernel(
-            iterative_combing_load_balanced(cb, ca, blend=blend, multiply=multiply),
-            cb.size,
-            ca.size,
+        return flip_kernel(
+            iterative_combing_load_balanced(cb, ca, blend=blend, multiply=multiply)
         )
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
@@ -439,14 +438,6 @@ def iterative_combing_load_balanced(
         for nxt in braids[1:]:
             result = multiply(result, nxt)
         return result
-
-
-def _flip_kernel(kernel_ba: PermArray, m_b: int, n_a: int) -> PermArray:
-    """Theorem 3.5: obtain ``P_{a,b}`` from ``P_{b,a}`` by a 180° rotation
-    of the permutation matrix."""
-    k = np.asarray(kernel_ba)
-    size = k.size
-    return (size - 1 - k)[::-1].copy()
 
 
 def lcs_score_from_kernel(kernel: PermArray, m: int, n: int) -> int:

@@ -33,6 +33,7 @@ from ...parallel.transport import (
     run_array_round,
 )
 from ...types import PermArray, Sequenceish
+from ..compose import flip_kernel
 from .hybrid import (
     _leaf,
     _split_lengths,
@@ -45,7 +46,6 @@ from .iterative import (
     _antidiag_ranges,
     _comb_region_simd,
     _extract_kernel,
-    _flip_kernel,
     antidiag_scratch,
     cut_positions,
     strand_dtype,
@@ -104,10 +104,8 @@ def parallel_iterative_combing(
     """
     ca, cb = encode(a), encode(b)
     if ca.size > cb.size:
-        return _flip_kernel(
-            parallel_iterative_combing(cb, ca, machine, blend=blend, use_16bit=use_16bit),
-            cb.size,
-            ca.size,
+        return flip_kernel(
+            parallel_iterative_combing(cb, ca, machine, blend=blend, use_16bit=use_16bit)
         )
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
@@ -152,12 +150,10 @@ def parallel_load_balanced_combing(
     """
     ca, cb = encode(a), encode(b)
     if ca.size > cb.size:
-        return _flip_kernel(
+        return flip_kernel(
             parallel_load_balanced_combing(
                 cb, ca, machine, blend=blend, multiply=multiply, use_16bit=use_16bit
-            ),
-            cb.size,
-            ca.size,
+            )
         )
     m, n = ca.size, cb.size
     if m == 0 or n == 0:

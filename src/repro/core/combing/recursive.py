@@ -20,27 +20,33 @@ from ...alphabet import encode
 from ...types import PermArray, Sequenceish
 from ..compose import compose_horizontal, compose_vertical
 
-#: Kernel of a matching single-character pair: the identity braid.
-_MATCH_KERNEL = np.array([0, 1], dtype=np.int64)
-#: Kernel of a mismatching pair: the single-crossing ("zero") braid.
-_MISMATCH_KERNEL = np.array([1, 0], dtype=np.int64)
 
+def split_and_compose(ca: np.ndarray, cb: np.ndarray, leaf, multiply, depth=None) -> PermArray:
+    """Split the longer side in half, recurse, compose the two kernels.
 
-def _rec(ca: np.ndarray, cb: np.ndarray, multiply) -> PermArray:
+    ``leaf(ca, cb)`` answers the base cases (an empty side, one character
+    pair) and, when *depth* is given, every sub-problem *depth* splits
+    down: Listing 6 is Listing 3 with a depth cut-off and the iterative
+    leaf."""
     m, n = ca.size, cb.size
-    if m == 0 or n == 0:
-        return np.arange(m + n, dtype=np.int64)
-    if m == 1 and n == 1:
-        return _MATCH_KERNEL.copy() if ca[0] == cb[0] else _MISMATCH_KERNEL.copy()
+    if m == 0 or n == 0 or m + n <= 2 or (depth is not None and depth <= 0):
+        return leaf(ca, cb)
+    sub = None if depth is None else depth - 1
     if m <= n:
         half = n // 2
-        left = _rec(ca, cb[:half], multiply)
-        right = _rec(ca, cb[half:], multiply)
+        left = split_and_compose(ca, cb[:half], leaf, multiply, sub)
+        right = split_and_compose(ca, cb[half:], leaf, multiply, sub)
         return compose_horizontal(left, right, m, half, n - half, multiply)
     half = m // 2
-    top = _rec(ca[:half], cb, multiply)
-    bottom = _rec(ca[half:], cb, multiply)
+    top = split_and_compose(ca[:half], cb, leaf, multiply, sub)
+    bottom = split_and_compose(ca[half:], cb, leaf, multiply, sub)
     return compose_vertical(top, bottom, half, m - half, n, multiply)
+
+
+def _base_kernel(ca: np.ndarray, cb: np.ndarray) -> PermArray:
+    """The identity braid, or the single crossing of a mismatching pair."""
+    k = np.arange(ca.size + cb.size, dtype=np.int64)
+    return k if ca.size == 0 or cb.size == 0 or ca[0] == cb[0] else k[::-1].copy()
 
 
 def recursive_combing(a: Sequenceish, b: Sequenceish, *, multiply=None) -> PermArray:
@@ -51,4 +57,4 @@ def recursive_combing(a: Sequenceish, b: Sequenceish, *, multiply=None) -> PermA
     """
     if multiply is None:
         from ..steady_ant import steady_ant_multiply as multiply
-    return _rec(encode(a), encode(b), multiply)
+    return split_and_compose(encode(a), encode(b), _base_kernel, multiply)

@@ -1,4 +1,5 @@
-"""Kernel composition (Theorem 3.4) and the flip identity (Theorem 3.5).
+"""Kernel composition (Theorem 3.4), the flip identity (Theorem 3.5) and
+kernel extension.
 
 Let ``a = a' a''`` (``a'`` of length ``m1`` on top of ``a''`` of length
 ``m2`` in the LCS grid) and let ``P1 = P_{a',b}``, ``P2 = P_{a'',b}``.
@@ -17,21 +18,82 @@ and the combined kernel is their *sticky* product::
 (⊙ = braid multiplication; verified against direct combing in
 ``tests/core/test_compose.py``). Splits of ``b`` reduce to splits of ``a``
 through the flip identity ``P_{a,b} = rot180(P_{b,a})``.
+
+Growing a kernel by a raw block needs no product: :func:`extend_kernel`
+resumes the comb from the strand state the kernel records.
 """
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
+from ..alphabet import encode
 from ..errors import ShapeMismatchError
-from ..obs import get_metrics, get_tracer
-from ..types import PermArray
+from ..obs import get_metrics, get_tracer, phase
+from ..types import PermArray, Sequenceish
 
 
 def flip_kernel(kernel: PermArray) -> PermArray:
     """Theorem 3.5: ``P_{a,b}`` from ``P_{b,a}`` (180° matrix rotation)."""
     k = np.asarray(kernel, dtype=np.int64)
     return (k.size - 1 - k)[::-1].copy()
+
+
+def reverse_kernel(kernel: PermArray) -> PermArray:
+    """``P_{rev a, rev b} = flip_kernel(P_{a,b}^-1)``: reversing both
+    strings turns the grid by 180°, so every strand runs backwards along
+    a boundary numbered the other way round."""
+    k = np.asarray(kernel, dtype=np.int64)
+    inverse = np.empty_like(k)
+    inverse[k] = np.arange(k.size, dtype=np.int64)
+    return flip_kernel(inverse)
+
+
+def extend_kernel(
+    kernel: PermArray, m: int, block: Sequenceish, b: Sequenceish, *,
+    at: Literal["end", "start"] = "end",
+) -> PermArray:
+    """``P_{a + block, b}`` (``at="end"``) or ``P_{block + a, b}``
+    (``at="start"``) from ``P_{a,b}`` with ``|a| = m``.
+
+    ``P_{a,b}`` is the strand state on the exit boundary of a's grid, so
+    appending is Listing 1 continued: invert the kernel to find the
+    strand entering each column of the block from above, shift every id
+    by ``|block|`` (the block's rows take the ids below), comb only the
+    ``|block| x n`` cells and read the kernel off — no braid multiply. A
+    prepend is an append to the reversed pair (:func:`reverse_kernel`).
+    Runs in the ``combing`` phase under a ``combing.extend`` span.
+    Raises :class:`~repro.errors.ShapeMismatchError` unless
+    ``kernel.size == m + len(b)``.
+    """
+    from .combing import iterative
+
+    if at not in ("end", "start"):
+        raise ValueError(f"at must be 'end' or 'start', got {at!r}")
+    kernel = np.asarray(kernel, dtype=np.int64)
+    cblock, cb = encode(block), encode(b)
+    k, n = cblock.size, cb.size
+    if kernel.size != m + n:
+        raise ShapeMismatchError(f"kernel order {kernel.size} inconsistent with m={m}, n={n}")
+    if k == 0:
+        return kernel.copy()
+    get_metrics().inc("combing.leaf_cells", k * n)
+    with phase("combing"), get_tracer().span("combing.extend", args={"m": m, "block": k, "n": n}):
+        if at == "start":
+            kernel, cblock, cb = reverse_kernel(kernel), cblock[::-1], cb[::-1].copy()
+        dt = iterative.strand_dtype(m + k, n)
+        # exits[p]: the strand leaving a's grid at end position p, by its
+        # id in the extended grid
+        exits = np.empty(m + n, dtype=dt)
+        exits[kernel] = np.arange(k, k + m + n, dtype=dt)
+        h, v = np.arange(k, dtype=dt), exits[:n]
+        iterative.comb_antidiagonals(
+            cblock[::-1].copy(), cb, h, v, iterative._antidiag_ranges(k, n)
+        )
+        out = iterative._extract_kernel(np.concatenate([h, exits[n:]]), v)
+        return reverse_kernel(out) if at == "start" else out
 
 
 def dsum_identity_first(k: int, p: PermArray) -> PermArray:

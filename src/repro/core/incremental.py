@@ -1,11 +1,12 @@
 """Incremental (streaming) semi-local kernels.
 
-Theorem 3.4 makes the semi-local kernel *compositional*: the kernel of
-``a · a'`` against ``b`` is the sticky product of the kernels of ``a``
-and ``a'`` (suitably padded). :class:`KernelBuilder` exploits this to
-maintain ``P_{a,b}`` while ``a`` grows — append characters or whole
-blocks, and pay one combing of the new block plus one O(N log N) braid
-multiplication per append, instead of recombing everything.
+The kernel ``P_{a,b}`` records the strand state on the exit boundary of
+``a``'s grid, so the kernel of ``a · block`` is the comb of ``a``
+continued through the block's rows
+(:func:`repro.core.compose.extend_kernel`). :class:`KernelBuilder` keeps
+``P_{a,b}`` while ``a`` grows — append characters or whole blocks, and
+pay ``|block| * n`` combed cells plus O(m + n) relabelling per append,
+instead of recombing everything.
 
 Typical uses: scoring a growing query against a fixed reference, or
 combing a huge ``a`` in bounded-memory blocks.
@@ -25,8 +26,7 @@ import numpy as np
 
 from ..alphabet import concat, encode
 from ..types import CodeArray, PermArray, Sequenceish
-from .combing.iterative import iterative_combing_antidiag_simd
-from .compose import compose_vertical
+from .compose import extend_kernel
 from .kernel import SemiLocalKernel
 
 
@@ -37,21 +37,10 @@ class KernelBuilder:
     ----------
     b:
         The fixed second string.
-    comb:
-        Combing algorithm for new blocks (default: vectorized
-        anti-diagonal iterative combing).
-    multiply:
-        Braid multiplication for compositions (default: steady ant).
     """
 
-    def __init__(self, b: Sequenceish, *, comb=None, multiply=None):
+    def __init__(self, b: Sequenceish):
         self._cb: CodeArray = encode(b)
-        if comb is None:
-            comb = iterative_combing_antidiag_simd
-        self._comb = comb
-        if multiply is None:
-            from .steady_ant import steady_ant_multiply as multiply
-        self._multiply = multiply
         self._a_parts: list[CodeArray] = []
         self._m = 0
         # kernel of the empty a against b: the identity of order n
@@ -64,18 +53,7 @@ class KernelBuilder:
         cblock = encode(block)
         if cblock.size == 0:
             return self
-        block_kernel = self._comb(cblock, self._cb)
-        if self._m == 0:
-            self._kernel = np.asarray(block_kernel, dtype=np.int64)
-        else:
-            self._kernel = compose_vertical(
-                self._kernel,
-                block_kernel,
-                self._m,
-                cblock.size,
-                self._cb.size,
-                self._multiply,
-            )
+        self._kernel = extend_kernel(self._kernel, self._m, cblock, self._cb)
         self._a_parts.append(cblock)
         self._m += cblock.size
         return self

@@ -387,7 +387,8 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("combing.leaf_calls", "counter", "calls", "core.combing",
      "Invocations of the vectorized iterative combing leaf (semi_antidiag_SIMD)."),
     ("combing.leaf_cells", "counter", "cells", "core.combing",
-     "Grid cells combed by iterative leaves (m*n per leaf call)."),
+     "Grid cells combed by iterative leaves (m*n per leaf call) and kernel "
+     "extensions (|block|*n each)."),
     ("combing.grid_leaves", "counter", "blocks", "core.combing",
      "Sub-block leaf combings submitted by grid combing (Listing 7)."),
     ("combing.grid_composes", "counter", "compositions", "core.combing",
@@ -487,10 +488,11 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("query.kernel_builds", "counter", "kernels", "query",
      "Fresh semi-local kernels combed on behalf of the query tier."),
     ("query.appends", "counter", "kernels", "query",
-     "Extended kernels produced by Theorem 3.4 append-composition instead of a recompute."),
+     "Extended kernels produced by resuming a cached kernel's comb through an appended "
+     "block instead of a recompute."),
     ("query.prepends", "counter", "kernels", "query",
-     "Extended kernels produced by the Theorem 3.5 flip of the append composition "
-     "(prefix combed, composed above the cached kernel)."),
+     "Extended kernels produced by resuming a cached kernel's comb through a prepended "
+     "block (via the reversal identity) instead of a recompute."),
     ("kernel.counter_builds", "counter", "structures", "core.kernel",
      "Dominance-counting structures constructed from scratch (a store hit that "
      "ships a persisted counter skips this)."),

@@ -7,10 +7,11 @@ accounting is *always on* (its cost is two clock reads per outermost
 call); the tracer span inside obeys the tracer's enabled flag.
 
 Re-entrancy: only the outermost entry of a given phase name on each
-thread accounts time — `_flip_kernel` recursing back into the combing
-leaf, or steady-ant compositions nested inside grid combing, do not
-double-count. Nested *different* phases each account their own wall
-time, so phase totals can overlap and need not sum to end-to-end time.
+thread accounts time — the combing leaves inside `hybrid_combing`'s
+own combing phase, or steady-ant compositions nested inside grid
+combing, do not double-count. Nested *different* phases each account
+their own wall time, so phase totals can overlap and need not sum to
+end-to-end time.
 
 Thread-safety: totals are accumulated under a module lock; the
 re-entrancy guard is thread-local.

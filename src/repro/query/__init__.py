@@ -8,8 +8,8 @@ the daemon (see ``docs/guide.md`` for the tier map and
   pair's semi-local kernel once, then answers ``lcs``,
   ``windowed_lcs``, ``all_prefix_scores``, ``all_suffix_scores`` and
   ``substring_threshold_matches`` by dominance counting over the cached
-  permutation, plus Theorem 3.4 ``append`` composition for
-  appended-to strings;
+  permutation, plus ``append`` / ``prepend``, which resume a cached
+  kernel's comb for a grown string;
 - :data:`~repro.query.catalog.QUERY_CATALOG` /
   :data:`~repro.query.catalog.QUERY_OPS` — the op reference
   (semantics, monograph theorem, cost model) that ``docs/queries.md``

@@ -67,22 +67,24 @@ QUERY_CATALOG: tuple[tuple[str, str, str, str, str, str], ...] = (
     (
         "append",
         "append(a, suffix, b) -> kernel of (a + suffix, b)",
-        "Extend a cached pair: compose the cached kernel P_{a,b} with the freshly combed "
-        "P_{suffix,b} instead of recombing the whole of `a + suffix`. The composite is cached "
-        "under the extended pair's key, so follow-up queries are hits.",
-        "Thm. 3.4 (kernel composition); flip identity Thm. 3.5 covers appends to b",
-        "one O(|suffix| * n) combing + one O(N log N) braid multiply (N = m + |suffix| + n)",
-        "inherits every per-query cost above on the composite kernel",
+        "Extend a cached pair: resume the comb of the cached kernel P_{a,b} through the "
+        "suffix's rows instead of recombing the whole of `a + suffix`. The extended kernel is "
+        "cached under the extended pair's key, so follow-up queries are hits.",
+        "Listing 1 resumed: P_{a,b} is the strand state on the exit boundary of a's grid",
+        "|suffix|·n cells combed from the cached kernel's boundary + O(m+n) relabelling; "
+        "no braid multiply",
+        "inherits every per-query cost above on the extended kernel",
     ),
     (
         "prepend",
         "prepend(prefix, a, b) -> kernel of (prefix + a, b)",
-        "Extend a cached pair at the front: comb only P_{prefix,b} and compose it *above* the "
-        "cached P_{a,b} (the prefix is the top block of the vertical stack). The composite is "
-        "cached under the extended pair's key, so follow-up queries are hits.",
-        "Thm. 3.4 (kernel composition) — the Thm. 3.5 mirror of append",
-        "one O(|prefix| * n) combing + one O(N log N) braid multiply (N = |prefix| + m + n)",
-        "inherits every per-query cost above on the composite kernel",
+        "Extend a cached pair at the front: append the reversed prefix to the reversed pair "
+        "and reverse the result back. The extended kernel is cached under the extended pair's "
+        "key, so follow-up queries are hits.",
+        "append through the reversal identity P_{rev a, rev b} = flip(P_{a,b}^-1) (Thm. 3.5)",
+        "|prefix|·n cells combed from the cached kernel's boundary + O(m+n) relabelling; "
+        "no braid multiply",
+        "inherits every per-query cost above on the extended kernel",
     ),
 )
 

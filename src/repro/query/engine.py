@@ -19,12 +19,12 @@ cache plus the query algebra on top:
   ``all_suffix_scores``, ``substring_threshold_matches`` — each a
   *single batched* dominance probe (``count_many``) over the cached
   kernel instead of a Python loop of descents;
-- **incremental append / prepend** (Theorems 3.4 + 3.5) —
-  ``append(a, suffix, b)`` composes the cached ``P_{a,b}`` with a
-  freshly combed ``P_{suffix,b}``; ``prepend(prefix, a, b)`` stacks a
-  combed prefix block *above* the cached kernel. Both cache the
-  composite, so a growing string reuses its existing kernel instead of
-  recombing from scratch.
+- **incremental append / prepend** — ``append(a, suffix, b)`` and
+  ``prepend(prefix, a, b)`` resume the comb of the cached ``P_{a,b}``
+  through the new block's rows only
+  (:func:`~repro.core.compose.extend_kernel`), and cache the extended
+  pair's kernel, so a growing string reuses its existing kernel instead
+  of recombing from scratch.
 
 Kernels are keyed content-addressed under the canonical
 :data:`QUERY_ALGORITHM` label: every combing algorithm produces the
@@ -38,12 +38,12 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Sequence
 
 import numpy as np
 
 from ..alphabet import concat, encode
-from ..core.compose import compose_vertical
+from ..core.combing.iterative import iterative_combing_antidiag_simd
+from ..core.compose import extend_kernel
 from ..core.kernel import SemiLocalKernel
 from ..errors import CheckpointCorruptionError, QueryError
 from ..obs.metrics import inc as _metric_inc
@@ -71,12 +71,6 @@ class QueryEngine:
     max_kernels:
         In-memory LRU capacity, counted in live kernels (each holds its
         permutation plus the dominance counter).
-    comb:
-        Combing algorithm ``(ca, cb) -> kernel`` for cache misses;
-        defaults to the vectorized anti-diagonal iterative combing.
-    multiply:
-        Braid multiplication used by :meth:`append` compositions
-        (default: steady ant).
     dense_threshold:
         Passed through to :class:`~repro.core.kernel.SemiLocalKernel` —
         kernels of order up to this use the O(1)-query dense counter.
@@ -93,8 +87,6 @@ class QueryEngine:
         *,
         store=None,
         max_kernels: int = 64,
-        comb=None,
-        multiply=None,
         dense_threshold: int = 2048,
         counter_kind: str | None = None,
     ):
@@ -102,12 +94,6 @@ class QueryEngine:
             raise QueryError(f"max_kernels must be positive, got {max_kernels}")
         self.store = store
         self.max_kernels = int(max_kernels)
-        if comb is None:
-            from ..core.combing.iterative import iterative_combing_antidiag_simd as comb
-        self._comb = comb
-        if multiply is None:
-            from ..core.steady_ant import steady_ant_multiply as multiply
-        self._multiply = multiply
         self._dense_threshold = int(dense_threshold)
         self._counter_kind = counter_kind
         self._mem: "OrderedDict[str, SemiLocalKernel]" = OrderedDict()
@@ -121,16 +107,12 @@ class QueryEngine:
 
     # -- keys and cache levels -------------------------------------------
 
-    def _encoded(self, a: Sequenceish, b: Sequenceish):
-        return encode(a), encode(b)
-
     def key_of(self, a: Sequenceish, b: Sequenceish) -> str:
         """Content-addressed cache key of the pair (canonical
         :data:`QUERY_ALGORITHM` label, so it is backend-independent)."""
         from ..checkpoint.store import kernel_key
 
-        ca, cb = self._encoded(a, b)
-        return kernel_key(ca, cb, QUERY_ALGORITHM)
+        return kernel_key(encode(a), encode(b), QUERY_ALGORITHM)
 
     def cached(self, a: Sequenceish, b: Sequenceish) -> bool:
         """True when the pair's kernel is already in the memory LRU or
@@ -160,13 +142,23 @@ class QueryEngine:
     def kernel(self, a: Sequenceish, b: Sequenceish) -> SemiLocalKernel:
         """The pair's semi-local kernel: memory LRU, else backing store,
         else one fresh combing (then cached at both levels)."""
-        ca, cb = self._encoded(a, b)
+        ca, cb = encode(a), encode(b)
         key = self.key_of(ca, cb)
-        kern = self._mem_get(key)
+        kern = self._lookup(key, ca.size, cb.size)
         if kern is not None:
-            self._count_hit()
             return kern
-        if self.store is not None:
+        self._count_miss()
+        perm = iterative_combing_antidiag_simd(ca, cb)
+        with self._lock:
+            self.kernel_builds += 1
+        _metric_inc("query.kernel_builds", 1)
+        return self._install(key, perm, ca.size, cb.size)
+
+    def _lookup(self, key: str, m: int, n: int) -> SemiLocalKernel | None:
+        """The kernel cached under *key*: memory LRU, else backing store
+        (adopted into memory); counts a hit when found."""
+        kern = self._mem_get(key)
+        if kern is None and self.store is not None:
             try:
                 perm, counter_bytes = self.store.get_with_counter(key)
             except CheckpointCorruptionError:
@@ -181,23 +173,18 @@ class QueryEngine:
                         counter = counter_from_bytes(counter_bytes)
                     except ValueError:
                         counter = None  # rebuild below; never trust a bad sidecar
-                kern = self._wrap(perm, ca.size, cb.size, counter=counter)
+                kern = self._wrap(perm, m, n, counter=counter)
                 self._remember(key, kern)
-                self._count_hit()
-                return kern
-        self._count_miss()
-        perm = np.asarray(self._comb(ca, cb), dtype=np.int64)
-        with self._lock:
-            self.kernel_builds += 1
-        _metric_inc("query.kernel_builds", 1)
-        return self._install(key, perm, ca.size, cb.size)
+        if kern is not None:
+            self._count_hit()
+        return kern
 
     def install_kernel(
         self, a: Sequenceish, b: Sequenceish, perm: PermArray
     ) -> SemiLocalKernel:
         """Adopt a kernel built elsewhere (e.g. by a serve-tier lockstep
         megabatch) into both cache levels; returns the wrapped kernel."""
-        ca, cb = self._encoded(a, b)
+        ca, cb = encode(a), encode(b)
         return self._install(self.key_of(ca, cb), np.asarray(perm, dtype=np.int64),
                              ca.size, cb.size)
 
@@ -296,7 +283,7 @@ class QueryEngine:
             raise QueryError(f"theta must be in (0, 1], got {theta}")
         from ..apps.approximate_matching import find_matches
 
-        ca, cb = self._encoded(a, b)
+        ca, cb = encode(a), encode(b)
         kern = self.kernel(ca, cb)
         window = ca.size if window is None else int(window)
         if window <= 0 or window > kern.n:
@@ -310,67 +297,41 @@ class QueryEngine:
     def append(
         self, a: Sequenceish, suffix: Sequenceish, b: Sequenceish
     ) -> SemiLocalKernel:
-        """Kernel of ``(a + suffix, b)`` by Theorem 3.4 composition.
-
-        Reuses the cached ``P_{a,b}`` (building it on a true cold start),
-        combs only the suffix block, composes, and caches the composite
-        under the extended pair's key — so every later query on the
-        extended pair is a plain hit.
-        """
-        self._count_request()
-        ca, cb = self._encoded(a, b)
-        cs = encode(suffix)
-        if cs.size == 0:
-            return self.kernel(ca, cb)
-        extended = concat([ca, cs])
-        ext_key = self.key_of(extended, cb)
-        kern = self._mem_get(ext_key)
-        if kern is not None:
-            self._count_hit()
-            return kern
-        base = self.kernel(ca, cb)
-        suffix_kernel = np.asarray(self._comb(cs, cb), dtype=np.int64)
-        composite = compose_vertical(
-            base.kernel, suffix_kernel, base.m, cs.size, cb.size, self._multiply
-        )
-        with self._lock:
-            self.appends += 1
-        _metric_inc("query.appends", 1)
-        return self._install(ext_key, composite, extended.size, cb.size)
+        """Kernel of ``(a + suffix, b)``: the cached ``P_{a,b}`` (built on
+        a true cold start) with its comb resumed through the suffix's
+        rows. The extended pair is looked up like any pair first and
+        cached under its own key, so later queries on it are hits."""
+        return self._extend(a, suffix, b, "end")
 
     def prepend(
         self, prefix: Sequenceish, a: Sequenceish, b: Sequenceish
     ) -> SemiLocalKernel:
-        """Kernel of ``(prefix + a, b)`` — the Theorem 3.5 mirror of
-        :meth:`append`.
+        """Kernel of ``(prefix + a, b)`` — :meth:`append` at the front
+        of ``a``, through the reversal identity
+        (:func:`~repro.core.compose.reverse_kernel`)."""
+        return self._extend(a, prefix, b, "start")
 
-        Vertical composition stacks blocks top-down along ``a``, and the
-        *prefix* of the concatenated string is the *top* block — so
-        prepending combs only ``P_{prefix,b}`` and composes it **above**
-        the cached ``P_{a,b}``. The composite is cached under the
-        extended pair's key, so a string growing at the front reuses its
-        existing kernel just like :meth:`append` does at the back.
-        """
+    def _extend(
+        self, a: Sequenceish, block: Sequenceish, b: Sequenceish, at: str
+    ) -> SemiLocalKernel:
         self._count_request()
-        ca, cb = self._encoded(a, b)
-        cp = encode(prefix)
-        if cp.size == 0:
+        ca, cblock, cb = encode(a), encode(block), encode(b)
+        if cblock.size == 0:
             return self.kernel(ca, cb)
-        extended = concat([cp, ca])
+        extended = concat([ca, cblock] if at == "end" else [cblock, ca])
         ext_key = self.key_of(extended, cb)
-        kern = self._mem_get(ext_key)
+        kern = self._lookup(ext_key, extended.size, cb.size)
         if kern is not None:
-            self._count_hit()
             return kern
         base = self.kernel(ca, cb)
-        prefix_kernel = np.asarray(self._comb(cp, cb), dtype=np.int64)
-        composite = compose_vertical(
-            prefix_kernel, base.kernel, cp.size, base.m, cb.size, self._multiply
-        )
+        perm = extend_kernel(base.kernel, base.m, cblock, cb, at=at)
         with self._lock:
-            self.prepends += 1
-        _metric_inc("query.prepends", 1)
-        return self._install(ext_key, composite, extended.size, cb.size)
+            if at == "end":
+                self.appends += 1
+            else:
+                self.prepends += 1
+        _metric_inc("query.appends" if at == "end" else "query.prepends", 1)
+        return self._install(ext_key, perm, extended.size, cb.size)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -379,7 +340,7 @@ class QueryEngine:
 
         Array results come back as plain lists so they serialize straight
         into the wire protocol; ``append`` and ``prepend`` answer with
-        the extended pair's global LCS score (the composite kernel is
+        the extended pair's global LCS score (the extended kernel is
         cached as a side effect).
         """
         if op not in QUERY_OPS:

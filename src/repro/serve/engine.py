@@ -261,8 +261,8 @@ class Engine:
         """True when *op* on the pair needs no kernel build — i.e. it can
         be answered inline, bypassing the continuous batcher. For
         ``append``/``prepend`` that means either the extended pair's
-        composite kernel or the base pair's kernel is already cached
-        (composition itself is cheap relative to a recomb)."""
+        kernel or the base pair's kernel is already cached (extending it
+        combs only the new block's cells)."""
         if self._state == "new":
             self.start()
         if self.query is None:

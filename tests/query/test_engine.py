@@ -98,6 +98,23 @@ class TestMemoization:
         assert eng2.kernel_builds == 0
         assert eng2.kernel_hits == 1
 
+    def test_extensions_read_the_store(self, tmp_path):
+        """A second engine over the same store (a restarted daemon, or
+        one whose memory LRU evicted the pair) answers append and
+        prepend from the stored extended kernels: nothing re-extended,
+        nothing rewritten."""
+        first = QueryEngine(store=KernelStore(tmp_path / "cache"))
+        first.append(A, "XYZ", B)
+        first.prepend("XYZ", A, B)
+        store = KernelStore(tmp_path / "cache")
+        second = QueryEngine(store=store)
+        assert second.cached(A + "XYZ", B) and second.cached("XYZ" + A, B)
+        assert second.append(A, "XYZ", B).lcs_whole() == lcs_score_dp(A + "XYZ", B)
+        assert second.prepend("XYZ", A, B).lcs_whole() == lcs_score_dp("XYZ" + A, B)
+        assert second.appends == second.prepends == 0
+        assert second.kernel_hits == 2
+        assert store.writes == 0
+
     def test_corrupt_store_entry_is_rebuilt(self, tmp_path):
         store = KernelStore(tmp_path / "cache")
         eng = QueryEngine(store=store)
