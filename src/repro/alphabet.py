@@ -40,7 +40,9 @@ def encode(s: Sequenceish, dtype: np.dtype | type = np.int64) -> CodeArray:
     [97, 98, 97]
     """
     if isinstance(s, str):
-        arr = np.fromiter((ord(c) for c in s), dtype=dtype, count=len(s))
+        # UTF-32 is one code unit per code point; surrogatepass keeps lone
+        # surrogates as their own code points, as ord() does
+        arr = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(dtype)
     elif isinstance(s, (bytes, bytearray)):
         arr = np.frombuffer(bytes(s), dtype=np.uint8).astype(dtype)
     elif isinstance(s, np.ndarray):

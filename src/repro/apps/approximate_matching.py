@@ -40,18 +40,16 @@ def sliding_window_scores(
 ) -> np.ndarray:
     """``out[l] = LCS(pattern, text[l : l + window))`` for every offset.
 
-    ``window`` defaults to ``len(pattern)``. One combing + ``n - window + 1``
-    polylogarithmic queries.
+    ``window`` defaults to ``len(pattern)``. One combing + one batched
+    probe of ``n - window + 1`` dominance counts.
     """
     cp, ct = encode(pattern), encode(text)
     window = cp.size if window is None else window
     if window <= 0 or window > ct.size:
         return np.zeros(0, dtype=np.int64)
     k = kernel if kernel is not None else _kernel(cp, ct)
-    return np.asarray(
-        [k.string_substring(l, l + window) for l in range(ct.size - window + 1)],
-        dtype=np.int64,
-    )
+    ls = np.arange(ct.size - window + 1, dtype=np.int64)
+    return k.string_substring_many(ls, ls + window)
 
 
 def best_window(pattern: Sequenceish, text: Sequenceish, *, kernel=None) -> Match:

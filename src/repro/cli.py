@@ -416,7 +416,6 @@ def _cmd_serve(args) -> int:
         query_store_dir=args.query_store,
         query_max_bytes=args.query_max_bytes,
         query_max_kernels=args.query_max_kernels,
-        query_counter_kind=args.query_counter_kind,
     )
     config = ServerConfig(
         host=args.host,
@@ -534,9 +533,7 @@ def _cmd_query(args) -> int:
         from .checkpoint import KernelStore
 
         store = KernelStore(args.store, max_bytes=args.max_bytes)
-    engine = QueryEngine(
-        store=store, max_kernels=args.max_kernels, counter_kind=args.counter_kind
-    )
+    engine = QueryEngine(store=store, max_kernels=args.max_kernels)
     params = _query_params(args.op, args)
     result = None
     for _ in range(max(1, args.repeat)):
@@ -976,13 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LRU byte budget of --query-store (default: unbounded)")
     g.add_argument("--query-max-kernels", type=int, default=64, metavar="N",
                    help="in-memory LRU capacity in live kernels (default: 64)")
-    from .core.dominance import COUNTER_KINDS as _COUNTER_KINDS
-
-    g.add_argument("--query-counter-kind", default=None, metavar="KIND",
-                   choices=list(_COUNTER_KINDS),
-                   help="force the query tier's dominance-counting structure "
-                        f"(KIND in {{{', '.join(_COUNTER_KINDS)}}}; "
-                        "default: size-based)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1048,11 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in-memory LRU capacity in live kernels (default: 64)")
     p.add_argument("--repeat", type=int, default=1, metavar="K",
                    help="answer the op K times (demonstrates memoization)")
-    p.add_argument("--counter-kind", default=None, metavar="KIND",
-                   choices=list(_COUNTER_KINDS),
-                   help="force the dominance-counting structure "
-                        f"(KIND in {{{', '.join(_COUNTER_KINDS)}}}; "
-                        "default: size-based)")
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser(

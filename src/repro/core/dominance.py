@@ -7,19 +7,22 @@ A semi-local kernel answers score queries through dominance counts
 The paper notes (§3, footnote 1) that storing the kernel instead of the
 full score matrix H reduces memory from quadratic to linear while raising
 the per-query cost from O(1) to polylogarithmic, citing range-counting
-structures [5, 6, 13]. This module implements:
+structures [5, 6, 13]. The program answers every count from one
+structure, :class:`WaveletCounter` — a wavelet matrix over the column
+values: O(n log n) construction, O(log n) per query, n + 1 words per
+level. :func:`make_counter` builds it, and
+:class:`repro.core.kernel.SemiLocalKernel` calls that on its first probe.
+
+Two more structures answer the same probe and serve as references for
+tests and benchmarks; the program never builds them:
 
 - :class:`DominanceCounter` — a merge-sort tree (Bentley-style
   multidimensional divide-and-conquer [5]): O(n log n) construction,
   O(log^2 n) per query, O(n log n) memory;
-- :class:`WaveletCounter` — a wavelet matrix over the column values:
-  O(n log n) construction, O(log n) per query;
 - :class:`DenseCounter` — an explicit (n+1) x (n+1) prefix-count matrix:
-  O(n^2) construction and memory, O(1) queries. Used for small kernels
-  and as the oracle for the others.
+  O(n^2) construction and memory, O(1) queries; the tests' oracle.
 
-All share the same two-method interface consumed by
-:class:`repro.core.kernel.SemiLocalKernel`:
+All share one two-method interface:
 
 - ``count(i, j)`` — one scalar probe;
 - ``count_many(i_arr, j_arr)`` — a *batched* probe carrying every query
@@ -30,22 +33,15 @@ All share the same two-method interface consumed by
   score queries (all-prefix, all-suffix, windowed LCS) reduce to one
   ``count_many`` call instead of k Python descents.
 
-Pick explicitly with :func:`make_counter`'s ``kind`` argument (or the
-``REPRO_COUNTER`` environment variable); the size-based default is the
-dense table up to ``dense_threshold`` and the wavelet matrix beyond —
-the merge-sort tree stays available for comparison
-(``benchmarks/bench_ext_query_structures.py`` records why wavelet wins).
-
-Built counters serialize (:func:`counter_to_bytes` /
+A built wavelet matrix serializes (:func:`counter_to_bytes` /
 :func:`counter_from_bytes`, versioned header) so a
-:class:`~repro.checkpoint.store.KernelStore` can persist the *built*
-levels alongside the kernel permutation and a disk cache hit skips the
-O(n log n) counter construction, not just the comb.
+:class:`~repro.checkpoint.store.KernelStore` can persist its levels
+alongside the kernel permutation and a disk cache hit skips the
+O(n log n) construction, not just the comb.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
@@ -54,7 +50,6 @@ from ..types import PermArray
 
 __all__ = [
     "COUNTER_FORMAT",
-    "COUNTER_KINDS",
     "DenseCounter",
     "DominanceCounter",
     "WaveletCounter",
@@ -63,10 +58,6 @@ __all__ = [
     "make_counter",
     "resolve_counter_kind",
 ]
-
-#: Environment variable overriding :func:`make_counter`'s size-based
-#: default (one of :data:`COUNTER_KINDS`); an explicit ``kind=`` wins.
-COUNTER_ENV = "REPRO_COUNTER"
 
 #: Version tag of the :func:`counter_to_bytes` payload; bump to
 #: invalidate every previously persisted counter.
@@ -88,7 +79,9 @@ def _as_query_arrays(i_arr, j_arr, n: int):
 
 
 class DenseCounter:
-    """Explicit dominance-count matrix; O(1) queries, O(n^2) memory."""
+    """Explicit dominance-count matrix; O(1) queries, O(n^2) memory.
+
+    The tests' reference for the other structures."""
 
     kind = "dense"
 
@@ -171,17 +164,12 @@ class DominanceCounter:
                     nxt[start:end] = merged
             self._levels.append(nxt)
             block *= 2
-        self._build_keys()
-
-    def _build_keys(self) -> None:
-        """Per level, the block-keyed view ``block_idx * (n+1) + value``
-        — globally sorted, which is what lets :meth:`count_many` answer
-        every query's level-k block with one searchsorted. O(n) per
-        level, recomputed (not persisted) on deserialization."""
-        n = self._n
-        pos = np.arange(n, dtype=np.int64)
+        # per level, the block-keyed view block_idx * (n+1) + value:
+        # globally sorted, which is what lets count_many answer every
+        # query's level-k block with one searchsorted
+        pos = np.arange(self._n, dtype=np.int64)
         self._keyed = [
-            (pos >> k) * (n + 1) + lvl for k, lvl in enumerate(self._levels)
+            (pos >> k) * (self._n + 1) + lvl for k, lvl in enumerate(self._levels)
         ]
 
     @property
@@ -333,122 +321,70 @@ class WaveletCounter:
         return out.reshape(shape)
 
 
-_COUNTERS = {
-    "dense": DenseCounter,
-    "merge-sort-tree": DominanceCounter,
-    "wavelet": WaveletCounter,
-}
-
-#: The selectable counter kinds, in documentation order.
-COUNTER_KINDS = tuple(_COUNTERS)
+def resolve_counter_kind(size: int) -> str:
+    """The kind of counter :func:`make_counter` builds for a kernel of
+    order *size*: the wavelet matrix, whatever the size."""
+    return WaveletCounter.kind
 
 
-def resolve_counter_kind(size: int, *, dense_threshold: int = 2048, kind: str | None = None) -> str:
-    """The counter kind :func:`make_counter` would build for a kernel of
-    order *size*: an explicit *kind* wins, then the ``REPRO_COUNTER``
-    environment variable, then the size-based default (dense up to
-    *dense_threshold*, wavelet matrix beyond)."""
-    if kind is None:
-        kind = os.environ.get(COUNTER_ENV) or None
-    if kind is not None:
-        if kind not in _COUNTERS:
-            raise KeyError(
-                f"unknown counter kind {kind!r}; available: {sorted(_COUNTERS)}"
-            )
-        return kind
-    return "dense" if size <= dense_threshold else "wavelet"
-
-
-def make_counter(rows_to_cols: PermArray, *, dense_threshold: int = 2048, kind: str | None = None):
-    """Pick a counter implementation by kernel size (or force one).
-
-    ``kind`` in :data:`COUNTER_KINDS` overrides the size-based default
-    (dense up to *dense_threshold*, wavelet matrix beyond — the
-    merge-sort tree is opt-in); the ``REPRO_COUNTER`` environment
-    variable overrides the default but not an explicit ``kind``.
-    """
-    p = np.asarray(rows_to_cols)
-    return _COUNTERS[resolve_counter_kind(p.size, dense_threshold=dense_threshold, kind=kind)](p)
+def make_counter(rows_to_cols: PermArray) -> WaveletCounter:
+    """The dominance counter of a kernel permutation: its wavelet matrix."""
+    return WaveletCounter(rows_to_cols)
 
 
 # -- persistence --------------------------------------------------------
 
-_KIND_CODES = {"merge-sort-tree": 1, "wavelet": 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_WAVELET_CODE = 2  # code 1 was the merge-sort tree, no longer persisted
 _HEADER = struct.Struct("<4sIIq")  # magic, format, kind code, n
 
 
 def counter_to_bytes(counter) -> bytes | None:
-    """Serialize a *built* counter's levels (versioned payload).
+    """Serialize a built wavelet matrix's levels (versioned payload).
 
-    Returns ``None`` for kinds not worth persisting — the dense table is
-    O(n^2) bytes and one cumsum to rebuild, so only the O(n log n)
-    structures (merge-sort tree, wavelet matrix) round-trip through the
-    :class:`~repro.checkpoint.store.KernelStore`.
+    Returns ``None`` for any other structure: the program persists only
+    the counter it builds.
     """
-    kind = getattr(counter, "kind", None)
-    code = _KIND_CODES.get(kind)
-    if code is None:
+    if getattr(counter, "kind", None) != WaveletCounter.kind:
         return None
-    parts = [_HEADER.pack(_COUNTER_MAGIC, COUNTER_FORMAT, code, counter.n)]
-    if kind == "merge-sort-tree":
-        levels = counter._levels
-        parts.append(struct.pack("<I", len(levels)))
-        for lvl in levels:
-            parts.append(np.ascontiguousarray(lvl, dtype="<i8").tobytes())
-    else:  # wavelet
-        parts.append(struct.pack("<I", counter._bits))
-        for prefix_zeros, _total in counter._levels:
-            parts.append(np.ascontiguousarray(prefix_zeros, dtype="<i8").tobytes())
+    parts = [
+        _HEADER.pack(_COUNTER_MAGIC, COUNTER_FORMAT, _WAVELET_CODE, counter.n),
+        struct.pack("<I", counter._bits),
+    ]
+    for prefix_zeros, _total in counter._levels:
+        parts.append(np.ascontiguousarray(prefix_zeros, dtype="<i8").tobytes())
     return b"".join(parts)
 
 
-def counter_from_bytes(data: bytes):
-    """Rebuild a counter from :func:`counter_to_bytes` output without
-    re-running the O(n log n) construction. Raises :class:`ValueError`
-    on any malformed, truncated or version-mismatched payload (callers
-    treat that as "no persisted counter" and rebuild)."""
-    if len(data) < _HEADER.size:
-        raise ValueError("counter payload truncated before header")
+def counter_from_bytes(data: bytes) -> WaveletCounter:
+    """Rebuild a wavelet matrix from :func:`counter_to_bytes` output
+    without re-running the O(n log n) construction. Raises
+    :class:`ValueError` on any malformed, truncated or version-mismatched
+    payload, and on a payload of another kind (a merge-sort tree written
+    by an older version); callers treat that as "no persisted counter"
+    and rebuild."""
+    if len(data) < _HEADER.size + 4:
+        raise ValueError("counter payload truncated before its level count")
     magic, fmt, code, n = _HEADER.unpack_from(data, 0)
     if magic != _COUNTER_MAGIC:
         raise ValueError("counter payload has wrong magic")
     if fmt != COUNTER_FORMAT:
         raise ValueError(f"counter payload format {fmt} != {COUNTER_FORMAT}")
-    kind = _CODE_KINDS.get(code)
-    if kind is None or n < 0:
+    if code != _WAVELET_CODE or n < 0:
         raise ValueError(f"counter payload has invalid kind code {code} / n {n}")
     off = _HEADER.size
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
-
-    def take(words: int) -> np.ndarray:
-        nonlocal off
-        end = off + 8 * words
-        if end > len(data):
-            raise ValueError("counter payload truncated mid-level")
-        arr = np.frombuffer(data, dtype="<i8", count=words, offset=off).astype(np.int64)
-        off = end
-        return arr
-
-    if kind == "merge-sort-tree":
-        expected = 1 if n <= 1 else 1 + (n - 1).bit_length()
-        if n and count != expected:
-            raise ValueError(f"merge-sort tree level count {count} != {expected}")
-        counter = DominanceCounter.__new__(DominanceCounter)
-        counter._n = n
-        counter._levels = [take(n) for _ in range(count if n else 0)]
-        counter._build_keys()
-    else:
-        expected = max(1, (n - 1).bit_length()) if n else 0
-        if count != expected:
-            raise ValueError(f"wavelet level count {count} != {expected}")
-        counter = WaveletCounter.__new__(WaveletCounter)
-        counter._n = n
-        counter._bits = count
-        counter._levels = [
-            (pz, int(pz[-1])) for pz in (take(n + 1) for _ in range(count))
-        ]
-    if off != len(data):
-        raise ValueError("counter payload has trailing bytes")
+    expected = max(1, (n - 1).bit_length()) if n else 0
+    if count != expected:
+        raise ValueError(f"wavelet level count {count} != {expected}")
+    if len(data) != off + 8 * (n + 1) * count:
+        raise ValueError("counter payload is truncated or has trailing bytes")
+    counter = WaveletCounter.__new__(WaveletCounter)
+    counter._n = n
+    counter._bits = count
+    counter._levels = []
+    for _ in range(count):
+        pz = np.frombuffer(data, dtype="<i8", count=n + 1, offset=off).astype(np.int64)
+        counter._levels.append((pz, int(pz[-1])))
+        off += 8 * (n + 1)
     return counter

@@ -23,13 +23,13 @@ Conventions (verified against the brute-force DP of Definition 3.3 in
 
       H[i, j] = (j + m - i) - #{ (s, e) in P : s >= i, e < j }
 
-  evaluated in O(1) from a dense prefix table for small kernels, or in
-  O(log n) from a wavelet matrix for large ones (linear memory, as
-  promised in §3 of the paper; ``counter_kind`` selects the structure
-  explicitly — see :mod:`repro.core.dominance`). Array-valued queries
-  (whole rows of scores, windowed sweeps) go through the counter's
-  batched ``count_many`` — one vectorized probe carrying every index
-  pair at once instead of a Python loop of descents;
+  evaluated in O(log n) from the kernel's wavelet matrix
+  (:mod:`repro.core.dominance`; O(n log n) memory, as promised in §3 of
+  the paper), which is built on the kernel's first probe, so a kernel
+  that is only stored or passed on never pays for it. Array-valued
+  queries (whole rows of scores, windowed sweeps) go through the
+  counter's batched ``count_many`` — one vectorized probe carrying every
+  index pair at once instead of a Python loop of descents;
 - wildcard windows reduce to plain LCS scores by the exchange argument:
   ``LCS(a, ?^k w) = k + LCS(a[k:], w)`` and symmetrically for trailing
   wildcards, which yields the four quadrant formulas below.
@@ -37,13 +37,20 @@ Conventions (verified against the brute-force DP of Definition 3.3 in
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import QueryError, ShapeMismatchError
 from ..obs.metrics import inc as _metric_inc
 from ..types import PermArray, Sequenceish
-from .dominance import make_counter, resolve_counter_kind
+from .dominance import WaveletCounter, counter_to_bytes, make_counter
 from .permutation import validate_permutation
+
+# One lock for every kernel's first counter build: a build takes about a
+# millisecond at order 2000, and a per-kernel lock would make kernels
+# unpicklable.
+_BUILD_LOCK = threading.Lock()
 
 
 class SemiLocalKernel:
@@ -55,21 +62,13 @@ class SemiLocalKernel:
         Permutation of ``[0, m+n)`` mapping strand starts to ends.
     m, n:
         Lengths of the input strings ``a`` and ``b``.
-    dense_threshold:
-        Kernels of order up to this use the O(n^2)-memory dense counter
-        (O(1) queries); larger kernels use the wavelet matrix
-        (O(n log n) memory, O(log n) queries, vectorized batch probes).
-    counter_kind:
-        Force a counting structure (one of
-        :data:`repro.core.dominance.COUNTER_KINDS`) instead of the
-        size-based default; the ``REPRO_COUNTER`` environment variable
-        overrides the default but not an explicit kind.
     counter:
-        A pre-built counter to adopt (e.g. deserialized from a
+        A pre-built wavelet matrix to adopt (e.g. deserialized from a
         :class:`~repro.checkpoint.store.KernelStore` artifact via
         :func:`repro.core.dominance.counter_from_bytes`). Adopted only
-        when its order and kind match what would be built here;
-        otherwise it is ignored and a fresh counter is constructed.
+        when it is a :class:`~repro.core.dominance.WaveletCounter` of
+        this kernel's order; otherwise it is ignored and the first probe
+        builds one.
     """
 
     def __init__(
@@ -79,8 +78,6 @@ class SemiLocalKernel:
         n: int,
         *,
         validate: bool = True,
-        dense_threshold: int = 2048,
-        counter_kind: str | None = None,
         counter=None,
     ):
         kernel = np.asarray(kernel, dtype=np.int64)
@@ -91,22 +88,23 @@ class SemiLocalKernel:
         self.kernel = kernel
         self.m = int(m)
         self.n = int(n)
-        self._dense_threshold = dense_threshold
-        self.counter_kind = resolve_counter_kind(
-            kernel.size, dense_threshold=dense_threshold, kind=counter_kind
-        )
-        if (
-            counter is not None
-            and getattr(counter, "kind", None) == self.counter_kind
-            and counter.n == kernel.size
-        ):
-            self._counter = counter
-        else:
-            self._counter = make_counter(
-                kernel, dense_threshold=dense_threshold, kind=self.counter_kind
-            )
-            _metric_inc("kernel.counter_builds", 1)
+        if not (isinstance(counter, WaveletCounter) and counter.n == kernel.size):
+            counter = None
+        self._counter = counter
         self._flipped_cache: "SemiLocalKernel | None" = None
+
+    def _built_counter(self) -> WaveletCounter:
+        """The kernel's wavelet matrix, built on the first call.
+        Concurrent first calls build it once."""
+        counter = self._counter
+        if counter is None:
+            with _BUILD_LOCK:
+                counter = self._counter
+                if counter is None:
+                    counter = make_counter(self.kernel)
+                    _metric_inc("kernel.counter_builds", 1)
+                    self._counter = counter
+        return counter
 
     # -- construction --------------------------------------------------
 
@@ -138,7 +136,7 @@ class SemiLocalKernel:
         size = self.m + self.n
         if not (0 <= i <= size and 0 <= j <= size):
             raise QueryError(f"H indices ({i}, {j}) outside [0, {size}]")
-        return (j + self.m - i) - self._counter.count(i, j)
+        return (j + self.m - i) - self._built_counter().count(i, j)
 
     def h_matrix(self) -> np.ndarray:
         """Materialize the full ``(m+n+1) x (m+n+1)`` score matrix H.
@@ -201,7 +199,7 @@ class SemiLocalKernel:
         :meth:`h` path stays registry-free per the metrics contract."""
         _metric_inc("kernel.probe_batches", 1)
         _metric_inc("kernel.probes", int(i.size))
-        return self._counter.count_many(i, j)
+        return self._built_counter().count_many(i, j)
 
     def string_substring_many(self, ls, rs) -> np.ndarray:
         """Batch of ``LCS(a, b[l:r))`` scores for paired arrays of window
@@ -240,13 +238,11 @@ class SemiLocalKernel:
         )
         return np.where(grid[:, None] <= grid[None, :], scores, 0)
 
-    def export_counter(self) -> bytes | None:
-        """The built counter's serialized levels
-        (:func:`repro.core.dominance.counter_to_bytes`), or ``None`` for
-        kinds that are cheaper to rebuild than to persist (dense)."""
-        from .dominance import counter_to_bytes
-
-        return counter_to_bytes(self._counter)
+    def export_counter(self) -> bytes:
+        """The serialized levels of the kernel's wavelet matrix
+        (:func:`repro.core.dominance.counter_to_bytes`), built first if
+        no probe has built it yet."""
+        return counter_to_bytes(self._built_counter())
 
     def flipped(self) -> "SemiLocalKernel":
         """Kernel of the swapped pair ``(b, a)`` via Theorem 3.5:
@@ -254,14 +250,7 @@ class SemiLocalKernel:
         if self._flipped_cache is None:
             size = self.m + self.n
             rotated = (size - 1 - self.kernel)[::-1].copy()
-            self._flipped_cache = SemiLocalKernel(
-                rotated,
-                self.n,
-                self.m,
-                validate=False,
-                dense_threshold=self._dense_threshold,
-                counter_kind=self.counter_kind,
-            )
+            self._flipped_cache = SemiLocalKernel(rotated, self.n, self.m, validate=False)
         return self._flipped_cache
 
     def __repr__(self) -> str:

@@ -494,8 +494,8 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Extended kernels produced by resuming a cached kernel's comb through a prepended "
      "block (via the reversal identity) instead of a recompute."),
     ("kernel.counter_builds", "counter", "structures", "core.kernel",
-     "Dominance-counting structures constructed from scratch (a store hit that "
-     "ships a persisted counter skips this)."),
+     "Wavelet matrices built, each on its kernel's first probe (a kernel never "
+     "probed builds none; a store hit that ships a persisted counter skips this)."),
     ("kernel.probe_batches", "counter", "batches", "core.kernel",
      "Batched dominance probes (count_many calls) answered by semi-local kernels."),
     ("kernel.probes", "counter", "probes", "core.kernel",

@@ -27,7 +27,7 @@ QUERY_CATALOG: tuple[tuple[str, str, str, str, str, str], ...] = (
         "Global LCS score of the pair — the string-substring query at the full window `b[0:n)`.",
         "Def. 3.2/3.3 (semi-local score matrix and its kernel representation)",
         "one O(mn) combing",
-        "one dominance count: O(1) dense, O(log n) wavelet matrix",
+        "one dominance count: O(log n) in the wavelet matrix",
     ),
     (
         "windowed_lcs",

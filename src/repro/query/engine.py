@@ -7,9 +7,9 @@ the score — is the thing worth caching. :class:`QueryEngine` is that
 cache plus the query algebra on top:
 
 - **two-level memoization** — an in-process LRU of live
-  :class:`~repro.core.kernel.SemiLocalKernel` objects (the dominance
-  counter is part of the cached value, so repeat queries skip even the
-  counter build), backed by an optional
+  :class:`~repro.core.kernel.SemiLocalKernel` objects (the wavelet
+  matrix a kernel builds on its first probe is part of the cached value,
+  so repeat queries skip even the counter build), backed by an optional
   :class:`~repro.checkpoint.store.KernelStore` in LRU cache mode
   (``max_bytes``) that persists permutations *and built counters*
   across processes — a disk hit deserializes the counter sidecar
@@ -71,15 +71,9 @@ class QueryEngine:
     max_kernels:
         In-memory LRU capacity, counted in live kernels (each holds its
         permutation plus the dominance counter).
-    dense_threshold:
-        Passed through to :class:`~repro.core.kernel.SemiLocalKernel` —
-        kernels of order up to this use the O(1)-query dense counter.
     counter_kind:
-        Force a dominance-counting structure (one of
-        :data:`repro.core.dominance.COUNTER_KINDS`) for every kernel this
-        engine wraps, instead of the size-based default (dense below the
-        threshold, wavelet above). The ``REPRO_COUNTER`` environment
-        variable overrides the default but not an explicit kind here.
+        ``None`` or ``"wavelet"``, the one dominance counter there is;
+        anything else raises :class:`~repro.errors.QueryError`.
     """
 
     def __init__(
@@ -87,15 +81,14 @@ class QueryEngine:
         *,
         store=None,
         max_kernels: int = 64,
-        dense_threshold: int = 2048,
         counter_kind: str | None = None,
     ):
         if max_kernels <= 0:
             raise QueryError(f"max_kernels must be positive, got {max_kernels}")
+        if counter_kind not in (None, "wavelet"):
+            raise QueryError(f"unknown counter kind {counter_kind!r}; the only one is 'wavelet'")
         self.store = store
         self.max_kernels = int(max_kernels)
-        self._dense_threshold = int(dense_threshold)
-        self._counter_kind = counter_kind
         self._mem: "OrderedDict[str, SemiLocalKernel]" = OrderedDict()
         self._lock = threading.Lock()
         self.requests = 0
@@ -172,8 +165,8 @@ class QueryEngine:
                     try:
                         counter = counter_from_bytes(counter_bytes)
                     except ValueError:
-                        counter = None  # rebuild below; never trust a bad sidecar
-                kern = self._wrap(perm, m, n, counter=counter)
+                        counter = None  # rebuilt on first probe; never trust a bad sidecar
+                kern = SemiLocalKernel(perm, m, n, validate=False, counter=counter)
                 self._remember(key, kern)
         if kern is not None:
             self._count_hit()
@@ -188,21 +181,8 @@ class QueryEngine:
         return self._install(self.key_of(ca, cb), np.asarray(perm, dtype=np.int64),
                              ca.size, cb.size)
 
-    def _wrap(
-        self, perm: PermArray, m: int, n: int, counter=None
-    ) -> SemiLocalKernel:
-        return SemiLocalKernel(
-            perm,
-            m,
-            n,
-            validate=False,
-            dense_threshold=self._dense_threshold,
-            counter_kind=self._counter_kind,
-            counter=counter,
-        )
-
     def _install(self, key: str, perm: PermArray, m: int, n: int) -> SemiLocalKernel:
-        kern = self._wrap(perm, m, n)
+        kern = SemiLocalKernel(perm, m, n, validate=False)
         self._remember(key, kern)
         if self.store is not None:
             self.store.put(

@@ -85,10 +85,6 @@ class Engine:
         ``query_max_kernels`` bounds the in-memory LRU of live kernels.
         The query engine always exists after :meth:`start` — without a
         store dir it is memory-only.
-    query_counter_kind:
-        Force the query tier's dominance-counting structure (one of
-        :data:`repro.core.dominance.COUNTER_KINDS`) instead of the
-        size-based default.
     """
 
     def __init__(
@@ -107,7 +103,6 @@ class Engine:
         query_store_dir: str | None = None,
         query_max_bytes: int | None = None,
         query_max_kernels: int = 64,
-        query_counter_kind: str | None = None,
         **algo_kwargs,
     ):
         self.backend = backend
@@ -123,7 +118,6 @@ class Engine:
         self.query_store_dir = query_store_dir
         self.query_max_bytes = query_max_bytes
         self.query_max_kernels = int(query_max_kernels)
-        self.query_counter_kind = query_counter_kind
         self.algo_kwargs = dict(algo_kwargs)
         self.machine = None
         self.scheduler: BatchScheduler | None = None
@@ -190,11 +184,7 @@ class Engine:
                 from ..checkpoint import KernelStore
 
                 store = KernelStore(self.query_store_dir, max_bytes=self.query_max_bytes)
-            self.query = QueryEngine(
-                store=store,
-                max_kernels=self.query_max_kernels,
-                counter_kind=self.query_counter_kind,
-            )
+            self.query = QueryEngine(store=store, max_kernels=self.query_max_kernels)
             self._state = "running"
         return self
 

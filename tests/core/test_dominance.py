@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.dist_matrix import dominance_count
-from repro.core.dominance import DenseCounter, DominanceCounter, WaveletCounter, make_counter
+from repro.core.dominance import (
+    DenseCounter,
+    DominanceCounter,
+    WaveletCounter,
+    make_counter,
+    resolve_counter_kind,
+)
 
 
 @pytest.mark.parametrize("counter_cls", [DenseCounter, DominanceCounter, WaveletCounter])
@@ -58,27 +64,26 @@ class TestMergeSortTreeInternals:
 
 
 class TestMakeCounter:
-    def test_threshold_selects_implementation(self):
-        small = make_counter(np.arange(4), dense_threshold=8)
-        large = make_counter(np.arange(16), dense_threshold=8)
-        assert isinstance(small, DenseCounter)
-        assert isinstance(large, WaveletCounter)
+    def test_builds_wavelet_at_every_order(self):
+        for order in (0, 1, 4, 2048, 2049):
+            assert isinstance(make_counter(np.arange(order)), WaveletCounter)
+            assert resolve_counter_kind(order) == "wavelet"
 
-    def test_explicit_kind_wins(self):
-        tree = make_counter(np.arange(4), dense_threshold=8, kind="merge-sort-tree")
-        assert isinstance(tree, DominanceCounter)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COUNTER", "merge-sort-tree")
-        assert isinstance(make_counter(np.arange(4), dense_threshold=8), DominanceCounter)
-        # explicit kind beats the env var
-        assert isinstance(
-            make_counter(np.arange(4), dense_threshold=8, kind="dense"), DenseCounter
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(KeyError):
-            make_counter(np.arange(4), kind="btree")
+class TestWaveletAgainstDense:
+    def test_every_clamped_probe_orders_0_to_40(self, rng):
+        """Exhaustive differential check: for every order 0..40, every
+        (i, j) in [-2, n + 2]^2, scalar and batched wavelet counts equal
+        the dense table's."""
+        for n in range(41):
+            p = rng.permutation(n)
+            wavelet, dense = WaveletCounter(p), DenseCounter(p)
+            idx = np.arange(-2, n + 3)
+            i, j = np.meshgrid(idx, idx, indexing="ij")
+            want = dense.count_many(i, j)
+            assert np.array_equal(wavelet.count_many(i, j), want), n
+            got = [[wavelet.count(int(a), int(b)) for b in idx] for a in idx]
+            assert np.array_equal(got, want), n
 
 
 class TestWaveletInternals:

@@ -116,7 +116,7 @@ class TestBatchViews:
 
     def test_string_substring_many_tree_counter(self, rng):
         a, b = random_pair(rng, max_len=8)
-        k = SemiLocalKernel(iterative_combing_rowmajor(a, b), len(a), len(b), dense_threshold=0)
+        k = SemiLocalKernel(iterative_combing_rowmajor(a, b), len(a), len(b))
         batch = k.string_substring_many([0, 1], [len(b), len(b)])
         assert batch.tolist() == [k.string_substring(0, len(b)), k.string_substring(1, len(b))]
 
@@ -163,14 +163,6 @@ class TestConstruction:
     def test_from_strings_custom_algorithm(self):
         k = SemiLocalKernel.from_strings("abc", "abc", algorithm=iterative_combing_rowmajor)
         assert k.lcs_whole() == 3
-
-    def test_dense_threshold_switch(self, rng):
-        a, b = random_pair(rng, max_len=8)
-        k_dense = SemiLocalKernel(iterative_combing_rowmajor(a, b), len(a), len(b), dense_threshold=10**6)
-        k_tree = SemiLocalKernel(iterative_combing_rowmajor(a, b), len(a), len(b), dense_threshold=0)
-        assert np.array_equal(k_dense.h_matrix(), k_tree.h_matrix())
-        for l in range(len(b) + 1):
-            assert k_dense.string_substring(l, len(b)) == k_tree.string_substring(l, len(b))
 
     def test_repr(self):
         assert "m=1" in repr(make_kernel([1], [2]))

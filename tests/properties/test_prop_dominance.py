@@ -65,22 +65,24 @@ def test_count_many_matches_elementwise_count(p, data):
 @given(permutations, st.data())
 @settings(max_examples=100, deadline=None)
 def test_counter_bytes_round_trip(p, data):
-    """Serialized tree/wavelet counters answer exactly like the originals
-    after a bytes round-trip (dense has no serialized form)."""
+    """A serialized wavelet matrix answers exactly like the original
+    after a bytes round-trip; the reference structures have no
+    serialized form."""
     n = p.size
     assert counter_to_bytes(DenseCounter(p)) is None
+    assert counter_to_bytes(DominanceCounter(p)) is None
     i = data.draw(st.integers(0, n))
     j = data.draw(st.integers(0, n))
-    for counter in (DominanceCounter(p), WaveletCounter(p)):
-        revived = counter_from_bytes(counter_to_bytes(counter))
-        assert type(revived) is type(counter)
-        assert revived.n == n
-        assert revived.count(i, j) == counter.count(i, j)
-        js = np.arange(n + 1, dtype=np.int64)
-        assert (
-            revived.count_many(np.full_like(js, i), js).tolist()
-            == counter.count_many(np.full_like(js, i), js).tolist()
-        )
+    counter = WaveletCounter(p)
+    revived = counter_from_bytes(counter_to_bytes(counter))
+    assert type(revived) is WaveletCounter
+    assert revived.n == n
+    assert revived.count(i, j) == counter.count(i, j)
+    js = np.arange(n + 1, dtype=np.int64)
+    assert (
+        revived.count_many(np.full_like(js, i), js).tolist()
+        == counter.count_many(np.full_like(js, i), js).tolist()
+    )
 
 
 @given(permutations)

@@ -96,16 +96,16 @@ def test_prepend_equals_from_scratch_text(prefix, a, b):
 @given(texts, texts)
 @settings(max_examples=30, deadline=None)
 def test_persisted_counter_preserves_all_answers(a, b):
-    """A second engine hitting the store (permutation + counter sidecar,
-    forced non-dense by a tiny threshold) answers every array-valued op
-    exactly like the engine that built everything from scratch."""
+    """A second engine hitting the store (permutation + counter sidecar)
+    answers every array-valued op exactly like the engine that built
+    everything from scratch."""
     with tempfile.TemporaryDirectory() as root:
-        first = QueryEngine(store=KernelStore(root), dense_threshold=2)
+        first = QueryEngine(store=KernelStore(root))
         n = len(b)
         want_prefix = [int(s) for s in first.all_prefix_scores(a, b)]
         want_suffix = [int(s) for s in first.all_suffix_scores(a, b)]
 
-        second = QueryEngine(store=KernelStore(root), dense_threshold=2)
+        second = QueryEngine(store=KernelStore(root))
         assert [int(s) for s in second.all_prefix_scores(a, b)] == want_prefix
         assert [int(s) for s in second.all_suffix_scores(a, b)] == want_suffix
         assert want_prefix == [lcs_score_dp(a, b[:r]) for r in range(n + 1)]

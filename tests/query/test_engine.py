@@ -205,18 +205,17 @@ class TestCounterPersistence:
     """The tentpole regression: a KernelStore disk hit must answer
     array-valued queries without re-running the O(n log n) counter
     build (``kernel.counter_builds`` pinned at zero on the second
-    engine). ``dense_threshold=4`` forces the persistable wavelet
-    counter on these short test strings."""
+    engine)."""
 
     def test_store_hit_skips_counter_build(self, tmp_path):
         from repro.obs.metrics import get_metrics
 
-        first = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        first = QueryEngine(store=KernelStore(tmp_path / "c"))
         baseline = [int(s) for s in first.all_prefix_scores(A, B)]
 
         builds = get_metrics().counter("kernel.counter_builds")
         before = builds.value
-        second = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        second = QueryEngine(store=KernelStore(tmp_path / "c"))
         out = [int(s) for s in second.all_prefix_scores(A, B)]
         assert out == baseline
         assert out == [lcs_score_dp(A, B[:r]) for r in range(len(B) + 1)]
@@ -228,44 +227,61 @@ class TestCounterPersistence:
         ``counter_sha256`` in the manifest) keep answering queries —
         the counter is simply rebuilt."""
         store = KernelStore(tmp_path / "c")
-        eng = QueryEngine(store=store, dense_threshold=4)
+        eng = QueryEngine(store=store)
         key = eng.key_of(A, B)
         perm = eng.kernel(A, B).kernel
         store.put(key, perm, algorithm=QUERY_ALGORITHM, m=len(A), n=len(B))
         assert not store._counter_path(key).exists()
 
-        fresh = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
         out = [int(s) for s in fresh.all_prefix_scores(A, B)]
         assert out == [lcs_score_dp(A, B[:r]) for r in range(len(B) + 1)]
         assert fresh.kernel_builds == 0  # permutation still a disk hit
 
     def test_corrupt_sidecar_never_poisons_answers(self, tmp_path):
         store = KernelStore(tmp_path / "c")
-        QueryEngine(store=store, dense_threshold=4).lcs(A, B)
+        QueryEngine(store=store).lcs(A, B)
         key = QueryEngine().key_of(A, B)
         sidecar = store._counter_path(key)
         assert sidecar.exists()
         sidecar.write_bytes(b"garbage")
 
-        fresh = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
         assert fresh.lcs(A, B) == lcs_score_dp(A, B)
 
-    def test_counter_kind_is_threaded(self, tmp_path):
-        eng = QueryEngine(
-            store=KernelStore(tmp_path / "c"),
-            dense_threshold=4,
-            counter_kind="merge-sort-tree",
-        )
-        assert eng.kernel(A, B).counter_kind == "merge-sort-tree"
-        # the persisted sidecar revives as the same kind on a new engine
-        second = QueryEngine(
-            store=KernelStore(tmp_path / "c"),
-            dense_threshold=4,
-            counter_kind="merge-sort-tree",
-        )
-        kern = second.kernel(A, B)
-        assert kern.counter_kind == "merge-sort-tree"
-        assert kern._counter.kind == "merge-sort-tree"
+    def test_legacy_tree_sidecar_is_rebuilt_once(self, tmp_path):
+        """A merge-sort-tree sidecar written by an older version fails to
+        parse: the hit adopts the permutation, answers correctly, and
+        builds exactly one wavelet matrix."""
+        import struct
+
+        from repro.core.dominance import DominanceCounter
+        from repro.obs.metrics import get_metrics
+
+        store = KernelStore(tmp_path / "c")
+        perm = semilocal_lcs(A, B).kernel
+        # the old payload: header with kind code 1, level count, levels
+        levels = DominanceCounter(perm)._levels
+        legacy = struct.pack("<4sIIqI", b"RPCT", 1, 1, perm.size, len(levels))
+        legacy += b"".join(lvl.astype("<i8").tobytes() for lvl in levels)
+        key = QueryEngine().key_of(A, B)
+        store.put(key, perm, algorithm=QUERY_ALGORITHM, m=len(A), n=len(B), counter=legacy)
+        assert store.get_with_counter(key)[1] == legacy
+
+        builds = get_metrics().counter("kernel.counter_builds")
+        before = builds.value
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
+        out = [int(s) for s in fresh.all_prefix_scores(A, B)]
+        assert out == [lcs_score_dp(A, B[:r]) for r in range(len(B) + 1)]
+        assert fresh.lcs(A, B) == lcs_score_dp(A, B)
+        assert fresh.kernel_builds == 0  # the permutation was a disk hit
+        assert builds.value - before == 1
+
+    def test_counter_kind_accepts_only_wavelet(self):
+        assert QueryEngine(counter_kind="wavelet").lcs(A, B) == lcs_score_dp(A, B)
+        for kind in ("dense", "merge-sort-tree", ""):
+            with pytest.raises(QueryError):
+                QueryEngine(counter_kind=kind)
 
 
 class TestStats:

@@ -27,6 +27,21 @@ class TestEncode:
     def test_empty(self):
         assert alphabet.encode("").size == 0
 
+    def test_str_codes_equal_ord(self, rng):
+        """Code points of every plane, lone surrogates included, encode
+        to exactly ``[ord(c) for c in s]``."""
+        strings = ["", "\ud800", "a\udfffb", "\U0010ffff\U0001f600", "\x00\xff\u20ac"]
+        for _ in range(200):
+            length = int(rng.integers(0, 40))
+            points = rng.integers(0, 0x110000, size=length)
+            if length:
+                points[rng.integers(0, length)] = rng.integers(0xD800, 0xE000)
+            strings.append("".join(chr(int(c)) for c in points))
+        for s in strings:
+            out = alphabet.encode(s)
+            assert out.dtype == np.int64
+            assert out.tolist() == [ord(c) for c in s], repr(s)
+
     def test_rejects_2d(self):
         with pytest.raises(AlphabetError):
             alphabet.encode(np.zeros((2, 2), dtype=np.int64))
