@@ -3,7 +3,7 @@
 Scores ``B`` random 4-letter pairs of length ``n`` four ways:
 
 - ``loop_serial`` — per-pair ``semilocal_lcs`` calls (the one-at-a-time
-  baseline, same algorithm and kwargs the batch engine uses);
+  baseline, the same anti-diagonal comber the batch engine runs per lane);
 - ``batch_serial`` — :func:`repro.batch.batch_lcs` in-process (lockstep
   vectorization only, no machine);
 - ``loop_processes`` — one spec per pair over a ProcessMachine (the same
@@ -47,12 +47,17 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from common import add_quick_flag, apply_quick, commit_hash  # noqa: E402
 
-ALGO_KWARGS = {"blend": "arith", "use_16bit_when_possible": True}
-
-
 def _pairs(count: int, n: int, seed: int = 2021) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(seed)
     return [(rng.integers(0, 4, n), rng.integers(0, 4, n)) for _ in range(count)]
+
+
+def _pair_score(a, b) -> int:
+    """One pair, one comb, one score: the ``loop_processes`` worker
+    (module-level, so process workers can unpickle it)."""
+    from repro import semilocal_lcs
+
+    return semilocal_lcs(a, b, "semi_antidiag_simd").lcs_whole()
 
 
 def _timed(fn) -> tuple[list[int], float]:
@@ -62,33 +67,25 @@ def _timed(fn) -> tuple[list[int], float]:
 
 
 def run_modes(pairs, workers: int, transport: str) -> list[dict]:
-    from repro import semilocal_lcs
     from repro.batch import batch_lcs
-    from repro.batch.scheduler import _pair_score
     from repro.parallel import ProcessMachine, run_array_round
 
     def loop_serial():
-        return [
-            semilocal_lcs(a, b, "semi_antidiag_simd", **ALGO_KWARGS).lcs_whole()
-            for a, b in pairs
-        ]
+        return [_pair_score(a, b) for a, b in pairs]
 
     reference, ref_wall = _timed(loop_serial)
     runs = [_record("loop_serial", reference, ref_wall, len(pairs), reference)]
 
-    scores, wall = _timed(lambda: batch_lcs(pairs, **ALGO_KWARGS))
+    scores, wall = _timed(lambda: batch_lcs(pairs))
     runs.append(_record("batch_serial", scores, wall, len(pairs), reference))
 
     with ProcessMachine(workers=workers, transport=transport) as machine:
-        specs = [
-            (_pair_score, ("semi_antidiag_simd", a, b, ALGO_KWARGS), {})
-            for a, b in pairs
-        ]
+        specs = [(_pair_score, (a, b), {}) for a, b in pairs]
         scores, wall = _timed(lambda: run_array_round(machine, specs))
         runs.append(_record("loop_processes", scores, wall, len(pairs), reference))
 
     with ProcessMachine(workers=workers, transport=transport) as machine:
-        scores, wall = _timed(lambda: batch_lcs(pairs, machine=machine, **ALGO_KWARGS))
+        scores, wall = _timed(lambda: batch_lcs(pairs, machine=machine))
         runs.append(_record("batch_processes", scores, wall, len(pairs), reference))
 
     return runs

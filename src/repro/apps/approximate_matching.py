@@ -53,16 +53,21 @@ def sliding_window_scores(
 
 
 def best_window(pattern: Sequenceish, text: Sequenceish, *, kernel=None) -> Match:
-    """The window of ``text`` with maximal LCS against ``pattern``,
-    shortest window winning ties (O(n^2) queries)."""
+    """The window of ``text`` with maximal LCS against ``pattern``; ties
+    go to the shortest window, then the smallest start.
+
+    Scans all O(n^2) windows with one batched probe per window end ``r``.
+    """
     cp, ct = encode(pattern), encode(text)
     k = kernel if kernel is not None else _kernel(cp, ct)
     best = Match(0, 0, 0)
-    for l in range(ct.size + 1):
-        for r in range(l, ct.size + 1):
-            score = k.string_substring(l, r)
-            if score > best.score or (score == best.score and r - l < best.length):
-                best = Match(l, r, score)
+    for r in range(ct.size + 1):
+        scores = k.string_substring_row(r)
+        score = int(scores.max())
+        # the last maximum of the row is its shortest window
+        l = r - int(np.argmax(scores[::-1] == score))
+        if (score, l - r, -l) > (best.score, -best.length, -best.start):
+            best = Match(l, r, score)
     return best
 
 

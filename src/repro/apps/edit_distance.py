@@ -19,6 +19,7 @@ from ..alphabet import encode
 from ..baselines.prefix_lcs import prefix_lcs_rowmajor
 from ..core.kernel import SemiLocalKernel
 from ..types import Sequenceish
+from .approximate_matching import sliding_window_scores
 
 
 def indel_distance(x: Sequenceish, y: Sequenceish) -> int:
@@ -31,32 +32,26 @@ def window_distances(
     pattern: Sequenceish, text: Sequenceish, window: int | None = None
 ) -> np.ndarray:
     """``out[l] = d_indel(pattern, text[l : l + window))`` for all offsets
-    from one semi-local combing."""
+    from one semi-local combing and one batched probe."""
     cp, ct = encode(pattern), encode(text)
     window = cp.size if window is None else window
-    if window <= 0 or window > ct.size:
-        return np.zeros(0, dtype=np.int64)
-    kernel = SemiLocalKernel.from_strings(cp, ct)
-    scores = np.asarray(
-        [kernel.string_substring(l, l + window) for l in range(ct.size - window + 1)],
-        dtype=np.int64,
-    )
-    return cp.size + window - 2 * scores
+    return cp.size + window - 2 * sliding_window_scores(cp, ct, window)
 
 
 def best_indel_window(pattern: Sequenceish, text: Sequenceish) -> tuple[int, int, int]:
     """The window ``[l, r)`` of *text* minimizing the indel distance to
-    *pattern* (over all substrings). Returns ``(l, r, distance)``.
+    *pattern* (over all substrings). Returns ``(l, r, distance)``; ties
+    go to the smallest ``l``, then the smallest ``r``.
 
-    Uses the full string-substring quadrant: O(n^2) queries on one
-    kernel.
+    Scans the full string-substring quadrant on one kernel: one batched
+    probe per window end ``r``.
     """
     cp, ct = encode(pattern), encode(text)
     kernel = SemiLocalKernel.from_strings(cp, ct)
-    best = (0, 0, cp.size)
-    for l in range(ct.size + 1):
-        for r in range(l, ct.size + 1):
-            dist = cp.size + (r - l) - 2 * kernel.string_substring(l, r)
-            if dist < best[2]:
-                best = (l, r, dist)
-    return best
+    best = (cp.size, 0, 0)  # (distance, l, r): the empty window
+    for r in range(ct.size + 1):
+        dists = cp.size + (r - np.arange(r + 1)) - 2 * kernel.string_substring_row(r)
+        l = int(np.argmin(dists))  # first minimum: the smallest l
+        best = min(best, (int(dists[l]), l, r))
+    dist, l, r = best
+    return l, r, dist

@@ -25,25 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lockstep import BATCH_BLENDS, comb_lockstep, pack_lanes
+from .lockstep import comb_lockstep, pack_lanes
 from .bitlockstep import comb_bit_lockstep, pack_bit_lanes
-from .scheduler import (
-    LOCKSTEP_ALGORITHM,
-    LOCKSTEP_KWARGS,
-    BatchScheduler,
-    lockstep_supported,
-    run_bit_batches,
-)
+from .scheduler import BatchScheduler, run_bit_batches
 
 __all__ = [
     "batch_semilocal_lcs",
     "batch_lcs",
     "batch_bit_lcs",
     "BatchScheduler",
-    "BATCH_BLENDS",
-    "LOCKSTEP_ALGORITHM",
-    "LOCKSTEP_KWARGS",
-    "lockstep_supported",
     "comb_lockstep",
     "comb_bit_lockstep",
     "pack_lanes",
@@ -54,30 +44,23 @@ __all__ = [
 
 def batch_semilocal_lcs(
     pairs,
-    algorithm: str = LOCKSTEP_ALGORITHM,
     *,
     machine=None,
     max_lanes: int = 64,
     min_side: int = 16,
-    **kwargs,
 ):
     """Solve semi-local LCS for many ``(a, b)`` pairs at once.
 
-    Equivalent to ``[semilocal_lcs(a, b, algorithm, **kwargs) for a, b
-    in pairs]`` but dispatched through the batch engine: lockstep
+    Equivalent to ``[semilocal_lcs(a, b) for a, b in pairs]`` (every
+    algorithm of :data:`repro.SEMILOCAL_ALGORITHMS` yields the same
+    kernel) but dispatched through the batch engine: lockstep
     vectorization across same-bucket pairs, shared-memory megabatches
     and pipelined rounds when *machine* is a process machine. Returns a
     list of :class:`~repro.core.kernel.SemiLocalKernel`.
     """
     from ..core.kernel import SemiLocalKernel
 
-    sched = BatchScheduler(
-        machine,
-        algorithm=algorithm,
-        max_lanes=max_lanes,
-        min_side=min_side,
-        **kwargs,
-    )
+    sched = BatchScheduler(machine, max_lanes=max_lanes, min_side=min_side)
     return [
         SemiLocalKernel(kern, m, n, validate=False)
         for kern, m, n in sched.run(pairs, want="kernels")
@@ -86,12 +69,10 @@ def batch_semilocal_lcs(
 
 def batch_lcs(
     pairs,
-    algorithm: str = LOCKSTEP_ALGORITHM,
     *,
     machine=None,
     max_lanes: int = 64,
     min_side: int = 16,
-    **kwargs,
 ) -> np.ndarray:
     """Plain LCS scores for many pairs (int64 array, input order).
 
@@ -99,13 +80,7 @@ def batch_lcs(
     score is read straight off the final vertical strands — so it is the
     fastest way to answer "how similar are all of these?".
     """
-    sched = BatchScheduler(
-        machine,
-        algorithm=algorithm,
-        max_lanes=max_lanes,
-        min_side=min_side,
-        **kwargs,
-    )
+    sched = BatchScheduler(machine, max_lanes=max_lanes, min_side=min_side)
     return np.asarray(sched.run(pairs, want="scores"), dtype=np.int64)
 
 

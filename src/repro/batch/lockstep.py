@@ -25,25 +25,18 @@ the padded run is exactly the real run with every strand id shifted by
 character values are irrelevant (matches at invalid cells are masked),
 so no sentinel symbol is needed and negative codes are safe.
 
-Every blend runs the single-pair comber's anti-diagonal code on the 2-D
-strands: the default ``arith`` is the kernel
-:func:`~repro.core.combing.iterative.comb_antidiagonals`, the others its
-§4.1 select idioms.
+Lanes run the single-pair comber's anti-diagonal kernel,
+:func:`~repro.core.combing.iterative.comb_antidiagonals`, on the 2-D
+strands, which take the single-pair strand dtype
+(:func:`~repro.core.combing.iterative.strand_dtype` of the bucket shape).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.combing.iterative import (
-    _antidiag_ranges,
-    _comb_region_simd,
-    _extract_kernel,
-    strand_dtype,
-)
-
-#: lane blends supported by :func:`comb_lockstep`
-BATCH_BLENDS = ("where", "masked", "arith", "bitwise", "minmax")
+from ..core.combing import iterative
+from ..core.combing.iterative import _antidiag_ranges, _extract_kernel, strand_dtype
 
 
 #: strand dtype of a bucket of shape ``(M, N)``: the single-pair rule
@@ -158,8 +151,6 @@ def comb_lockstep(
     b_valid,
     lane_m,
     lane_n,
-    blend: str = "arith",
-    use_16bit: bool = True,
     want: str = "kernels",
 ):
     """Comb B independent grids in lockstep (module-level, picklable —
@@ -170,18 +161,16 @@ def comb_lockstep(
     first ``m_k + n_k`` entries) or a ``(B,)`` int64 score vector
     (``want="scores"``).
     """
-    if blend not in BATCH_BLENDS:
-        raise ValueError(f"unknown blend {blend!r}; available: {BATCH_BLENDS}")
     if want not in ("kernels", "scores"):
         raise ValueError(f"want must be 'kernels' or 'scores', got {want!r}")
     M, B = a_rev.shape
     N = b_codes.shape[0]
-    dt = strand_dtype(M, N, use_16bit)
+    dt = strand_dtype(M, N)
     h = np.empty((M, B), dtype=dt)
     v = np.empty((N, B), dtype=dt)
     h[:] = np.arange(M, dtype=dt)[:, None]
     v[:] = np.arange(M, M + N, dtype=dt)[:, None]
-    _comb_region_simd(a_rev, b_codes, h, v, _antidiag_ranges(M, N), blend, h_valid, b_valid)
+    iterative.comb_antidiagonals(a_rev, b_codes, h, v, _antidiag_ranges(M, N), h_valid, b_valid)
     if want == "scores":
         return _lane_scores(v, b_valid, lane_n, M)
     return _lane_kernels(h, v, lane_m, lane_n, M, N)

@@ -22,9 +22,8 @@ lockstep megabatches and keeps a machine's workers saturated:
    submission, resilient recovery happens at submit or drain, and slabs
    are recycled only after their round has fully drained.
 
-Pairs the lockstep kernels cannot take (other algorithms, exotic
-kwargs) fall back to per-pair specs over the same machine — still one
-round-trip per round of pairs, just without cross-query vectorization.
+Every pair is combed by the lockstep kernel: the kernel ``P_{a,b}`` is
+unique, so any other comber could only change the speed.
 """
 
 from __future__ import annotations
@@ -49,34 +48,9 @@ from ..parallel.transport import (
 from .bitlockstep import comb_bit_lockstep, pack_bit_lanes
 from .lockstep import comb_lockstep, pack_lanes
 
-#: the one algorithm with a lockstep batched variant
-LOCKSTEP_ALGORITHM = "semi_antidiag_simd"
-#: kwargs the lockstep kernels understand; anything else forces fallback
-LOCKSTEP_KWARGS = frozenset({"blend", "use_16bit_when_possible"})
 #: rounds in flight per dispatch: double buffering, which beats one
 #: round at a time on lcsbench's ``batch`` workload (DESIGN.md §3i)
 PIPELINE_DEPTH = 2
-
-
-def lockstep_supported(algorithm: str, kwargs: dict) -> bool:
-    """True when (algorithm, kwargs) can ride the lockstep kernels."""
-    return algorithm == LOCKSTEP_ALGORITHM and set(kwargs) <= LOCKSTEP_KWARGS
-
-
-def _pair_kernel(algorithm: str, ca, cb, kwargs: dict):
-    """Fallback worker: one pair, one kernel (module-level, picklable)."""
-    from .. import SEMILOCAL_ALGORITHMS  # lazy: avoid repro <-> batch cycle
-
-    return SEMILOCAL_ALGORITHMS[algorithm](ca, cb, **kwargs)
-
-
-def _pair_score(algorithm: str, ca, cb, kwargs: dict) -> int:
-    """Fallback worker: one pair, one LCS score."""
-    from .. import SEMILOCAL_ALGORITHMS
-    from ..core.kernel import SemiLocalKernel
-
-    kern = SEMILOCAL_ALGORITHMS[algorithm](ca, cb, **kwargs)
-    return int(SemiLocalKernel(kern, ca.size, cb.size, validate=False).lcs_whole())
 
 
 def _ceil_pow2(x: int, floor: int) -> int:
@@ -132,11 +106,6 @@ class BatchScheduler:
     machine:
         Any :class:`~repro.parallel.api.Machine` (or ``None`` to comb
         in-process — still lockstep-vectorized across lanes).
-    algorithm:
-        Key of :data:`repro.SEMILOCAL_ALGORITHMS`. Only
-        ``semi_antidiag_simd`` (with at most ``blend`` /
-        ``use_16bit_when_possible`` kwargs) runs lockstep; everything
-        else falls back to per-pair dispatch.
     max_lanes:
         Megabatch width cap. Wider amortizes dispatch further but grows
         the padded working set; 64 keeps a 1k x 1k uint16 bucket's
@@ -149,20 +118,16 @@ class BatchScheduler:
         self,
         machine=None,
         *,
-        algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
         min_side: int = 16,
-        **algo_kwargs,
     ):
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
         self.machine = machine
-        self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
         self.min_side = int(min_side)
-        self.algo_kwargs = dict(algo_kwargs)
         #: stats of the most recent :meth:`run` (pairs, megabatches,
-        #: padded/real cells, fallback pairs, per-megabatch lane counts)
+        #: padded/real cells, per-megabatch lane counts)
         #: — long-lived callers (the serving engine) read these instead
         #: of diffing the global metrics registry between requests
         self.last_stats: dict = {}
@@ -179,7 +144,7 @@ class BatchScheduler:
             raise ValueError(f"want must be 'kernels' or 'scores', got {want!r}")
         encoded = [(encode(a), encode(b)) for a, b in pairs]
         out: list = [None] * len(encoded)
-        stats = {"pairs": 0, "megabatches": 0, "padded": 0, "real": 0, "fallback": 0}
+        stats = {"pairs": 0, "megabatches": 0, "padded": 0, "real": 0}
         lanes_hist: list[int] = []
         work: list[tuple[int, np.ndarray, np.ndarray]] = []
         for i, (ca, cb) in enumerate(encoded):
@@ -193,63 +158,24 @@ class BatchScheduler:
                 work.append((i, ca, cb))
         stats["pairs"] = len(encoded)
         with phase("batch"), get_tracer().span(
-            "batch.run",
-            args={"pairs": len(encoded), "algorithm": self.algorithm, "want": want},
+            "batch.run", args={"pairs": len(encoded), "want": want}
         ):
             if work:
-                if lockstep_supported(self.algorithm, self.algo_kwargs):
-                    self._run_lockstep(work, want, out, stats, lanes_hist)
-                else:
-                    self._run_fallback(work, want, out, stats)
+                self._run_lockstep(work, want, out, stats, lanes_hist)
         metrics = get_metrics()
         metrics.inc("batch.pairs", stats["pairs"])
         metrics.inc("batch.megabatches", stats["megabatches"])
         metrics.inc("batch.padded_cells", stats["padded"])
         metrics.inc("batch.real_cells", stats["real"])
-        metrics.inc("batch.fallback_pairs", stats["fallback"])
         hist = metrics.histogram("batch.lanes")
         for lanes in lanes_hist:
             hist.observe(lanes)
         self.last_stats = {**stats, "lanes": list(lanes_hist)}
         return out
 
-    # -- fallback path --------------------------------------------------
-
-    def _run_fallback(self, work, want, out, stats) -> None:
-        stats["fallback"] += len(work)
-        worker = _pair_kernel if want == "kernels" else _pair_score
-        if self.machine is None:
-            for i, ca, cb in work:
-                res = worker(self.algorithm, ca, cb, self.algo_kwargs)
-                out[i] = (np.asarray(res, dtype=np.int64), ca.size, cb.size) if want == "kernels" else res
-            return
-        specs = [(worker, (self.algorithm, ca, cb, self.algo_kwargs), {}) for i, ca, cb in work]
-        pipe = _Pipeline(self.machine)
-        chunk = max(1, getattr(self.machine, "workers", 1) or 1) * 4
-
-        def finish(batch, results):
-            for (i, ca, cb), res in zip(batch, results):
-                if want == "kernels":
-                    local = np.asarray(machine_localize(self.machine, res), dtype=np.int64)
-                    machine_release(self.machine, res)
-                    out[i] = (local, ca.size, cb.size)
-                else:
-                    out[i] = int(res)
-
-        try:
-            for lo in range(0, len(work), chunk):
-                batch = work[lo : lo + chunk]
-                pipe.push(specs[lo : lo + chunk], partial(finish, batch))
-            pipe.flush()
-        except BaseException:
-            pipe.abort()
-            raise
-
     # -- lockstep path --------------------------------------------------
 
     def _run_lockstep(self, work, want, out, stats, lanes_hist) -> None:
-        use_16bit = bool(self.algo_kwargs.get("use_16bit_when_possible", True))
-        blend = self.algo_kwargs.get("blend", "arith")
         # orient (comb the shorter string down the rows) and bucket
         buckets: dict[tuple[int, int], list] = {}
         for i, ca, cb in work:
@@ -273,7 +199,7 @@ class BatchScheduler:
         if self.machine is None:
             for M, N, lanes in megabatches:
                 stacks = pack_lanes([(cx, cy) for _, cx, cy, _ in lanes], M, N)
-                res = comb_lockstep(*stacks, blend=blend, use_16bit=use_16bit, want=want)
+                res = comb_lockstep(*stacks, want=want)
                 self._unpack(res, lanes, want, out)
             return
 
@@ -303,13 +229,7 @@ class BatchScheduler:
                     stacks = pack_lanes(
                         [(cx, cy) for _, cx, cy, _ in lanes], M, N, alloc=alloc
                     )
-                    round_specs.append(
-                        (
-                            comb_lockstep,
-                            stacks,
-                            {"blend": blend, "use_16bit": use_16bit, "want": want},
-                        )
-                    )
+                    round_specs.append((comb_lockstep, stacks, {"want": want}))
                     round_batches.append(lanes)
                 pipe.push(round_specs, partial(finish, round_batches, round_slabs))
             pipe.flush()

@@ -125,7 +125,7 @@ def _cmd_semilocal(args) -> int:
 def _cmd_bit(args) -> int:
     from .core.bitparallel import bit_lcs
 
-    print(bit_lcs(args.a, args.b, variant=args.variant, multi_diag=args.multi_diag))
+    print(bit_lcs(args.a, args.b, variant=args.variant))
     return 0
 
 
@@ -328,21 +328,11 @@ def _cmd_batch(args) -> int:
         with cleanup_on_signals(release_all_arenas):
             start = time.perf_counter()
             if args.kernels:
-                kernels = batch_semilocal_lcs(
-                    pairs,
-                    algorithm=args.algorithm,
-                    machine=machine,
-                    max_lanes=args.max_lanes,
-                )
+                kernels = batch_semilocal_lcs(pairs, machine=machine, max_lanes=args.max_lanes)
                 elapsed = time.perf_counter() - start
                 scores = [k.lcs_whole() for k in kernels]
             else:
-                scores = batch_lcs(
-                    pairs,
-                    algorithm=args.algorithm,
-                    machine=machine,
-                    max_lanes=args.max_lanes,
-                )
+                scores = batch_lcs(pairs, machine=machine, max_lanes=args.max_lanes)
                 elapsed = time.perf_counter() - start
             # snapshot before the block exits: cleanup releases the arena
             transport_stats = getattr(machine, "transport_stats", None)
@@ -409,7 +399,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         workers=args.workers,
         transport=args.transport,
-        algorithm=args.algorithm,
         max_lanes=args.max_lanes,
         policy=policy if args.backend != "none" else None,
         chaos=chaos,
@@ -726,14 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--variant", default="new2", choices=["old", "new1", "new2"])
-    p.add_argument(
-        "--multi-diag",
-        action="store_true",
-        help=(
-            "use the multi-diagonal column sweep (several anti-diagonals "
-            "per batched word op; strongest on long strings)"
-        ),
-    )
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_bit)
 
@@ -875,11 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("pairs", help="TAB-separated pairs file, or '-' for stdin")
     p.add_argument(
-        "--algorithm",
-        default="semi_antidiag_simd",
-        help="kernel algorithm (default: semi_antidiag_simd, the lockstep-batched one)",
-    )
-    p.add_argument(
         "--kernels",
         action="store_true",
         help="build full semi-local kernels instead of the score-only fast path",
@@ -935,11 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pickle",
         choices=["pickle", "shm"],
         help="array transport for the processes backend (default: pickle)",
-    )
-    p.add_argument(
-        "--algorithm",
-        default="semi_antidiag_simd",
-        help="kernel algorithm (default: semi_antidiag_simd, the lockstep-batched one)",
     )
     p.add_argument("--max-lanes", type=int, default=64, metavar="B",
                    help="megabatch width cap (default: 64)")

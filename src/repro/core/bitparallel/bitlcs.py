@@ -34,7 +34,6 @@ from .words import (
     MAX_WIDTH,
     WORD_DTYPE,
     pack_a_words,
-    pack_a_words_column,
     pack_b_words,
     popcount_words,
     word_mask,
@@ -66,125 +65,24 @@ def _triangle_masks(w: int) -> list[tuple[int, bool, np.uint64]]:
     return steps
 
 
-if hasattr(np, "bitwise_count"):
-
-    def _parity(words: np.ndarray) -> np.ndarray:
-        """Per-word popcount parity (0/1) of a uint64 array."""
-        return np.bitwise_count(words).astype(WORD_DTYPE) & _U(1)
-
-else:  # pragma: no cover - NumPy < 2.0
-
-    def _parity(words: np.ndarray) -> np.ndarray:
-        """Per-word popcount parity via xor-folding (no popcount op)."""
-        x = words.copy()
-        for s in (32, 16, 8, 4, 2, 1):
-            x ^= x >> _U(s)
-        return x & _U(1)
-
-
-def _multi_diag_lcs(ca, cb, w: int) -> int:
-    """Multi-diagonal column sweep: one batched carry-adder column step
-    advances *every* block of the current block-anti-diagonal at once.
-
-    Per block-anti-diagonal the diagonal sweep issues ``2w - 1`` batched
-    steps whose triangle masks keep many lanes idle; the column sweep
-    issues exactly ``w`` steps, each advancing one full ``w``-row column
-    of every block, packing several grid anti-diagonals' worth of cells
-    into each NumPy op. A column of cells is the classic bit-parallel
-    recurrence: the adder ``T = A + G + v_in`` carries a vertical strand
-    down through the word, and the resulting flips update ``h``. The
-    vertical output bit needs no carry-out extraction — one strand enters
-    the column and one leaves, so ``v_out = v_in XOR parity(flips)``
-    (conservation of strands; ``np.bitwise_count`` gives the parity
-    branch-free for every ``w``).
-
-    Both strings are packed in normal LSB-first layout
-    (:func:`~.words.pack_a_words_column`); ragged edges keep the library's
-    validity-mask discipline, with an all-full fast path that skips the
-    mask gating entirely when no padding exists.
-    """
-    a_words, a_valid, m_pad = pack_a_words_column(ca, w)
-    b_words, b_valid, n_pad = pack_b_words(cb, w)
-    ma, nb = a_words.size, b_words.size
-    wmask = word_mask(w)
-    h = np.full(ma, wmask, dtype=WORD_DTYPE)
-    v = np.zeros(nb, dtype=WORD_DTYPE)
-    one = _U(1)
-    zero = _U(0)
-    all_full = (m_pad == ca.size) and (n_pad == cb.size)
-    for d in range(ma + nb - 1):
-        i_lo = max(0, d - nb + 1)
-        i_hi = min(ma - 1, d)
-        sl_i = slice(i_lo, i_hi + 1)
-        js = d - np.arange(i_lo, i_hi + 1)
-        hv = h[sl_i].copy()
-        vv = v[js]
-        av = a_words[sl_i]
-        bv = b_words[js]
-        if not all_full:
-            mh = a_valid[sl_i]
-            mv = b_valid[js]
-            inv_mh = (~mh) & wmask
-            ragged = bool((mh != wmask).any()) or bool((mv != wmask).any())
-        for jl in range(w):
-            sh = _U(jl)
-            beta = (bv >> sh) & one
-            # S: rows of the column whose a-bit matches this b-bit
-            S = av ^ ((zero - beta) ^ wmask)
-            vin = (vv >> sh) & one
-            if all_full:
-                G = hv & S
-                T = hv + G + vin
-                C = (T ^ hv ^ G) & wmask
-                flip = (~C & G) | (C & (hv ^ wmask))
-            else:
-                G = hv & (S & mh)
-                A = hv | inv_mh  # carries pass through padding rows
-                T = A + G + vin
-                C = (T ^ A ^ G) & wmask
-                flip = (~C & G) | (C & (hv ^ wmask) & mh)
-                if ragged:
-                    # a column outside the real grid changes nothing
-                    flip &= zero - ((mv >> sh) & one)
-            vout = vin ^ _parity(flip)
-            hv = hv ^ flip
-            vv = (vv & ~(one << sh)) | (vout << sh)
-        h[sl_i] = hv
-        v[js] = vv
-    return m_pad - popcount_words(h, w)
-
-
 def bit_lcs(
     a: Sequenceish,
     b: Sequenceish,
     *,
     variant: Variant = "new2",
     w: int = MAX_WIDTH,
-    multi_diag: bool = False,
 ) -> int:
     """LCS score of two binary strings by bit-parallel combing.
 
     O(mn / w) word operations; only Boolean logic and shifts, no integer
     arithmetic and no precomputed tables.
-
-    ``multi_diag=True`` selects the multi-diagonal column sweep
-    (:func:`_multi_diag_lcs`): several grid anti-diagonals advance per
-    NumPy op instead of one masked triangle step, cutting the inner loop
-    from ``2w - 1`` to ``w`` batched steps per block-anti-diagonal. Same
-    score, different sweep; it overtakes the ``new2`` diagonal sweep as
-    the strings grow (larger batches per op) and *variant* is then
-    ignored.
     """
     ca = to_binary(a) if isinstance(a, str) else encode(a)
     cb = to_binary(b) if isinstance(b, str) else encode(b)
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return 0
-    metrics = get_metrics()
-    metrics.inc("bitparallel.calls", 1)
-    if multi_diag:
-        metrics.inc("compute.multi_diag_calls", 1)
-        return _multi_diag_lcs(ca, cb, w)
+    get_metrics().inc("bitparallel.calls", 1)
     a_words, a_valid, m_pad = pack_a_words(ca, w)
     b_words, b_valid, n_pad = pack_b_words(cb, w)
     ma = a_words.size

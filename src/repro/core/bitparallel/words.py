@@ -87,35 +87,6 @@ def pack_b_words(
     return _bits_to_words(bits, w), _bits_to_words(valid, w), n_pad
 
 
-def pack_a_words_column(
-    ca: CodeArray, w: int = MAX_WIDTH, *, min_words: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pack string ``a`` in *normal* (LSB-first, end-padded) layout.
-
-    The diagonal-sweep comber packs ``a`` reversed
-    (:func:`pack_a_words`) so that a within-block anti-diagonal is one
-    shift. The multi-diagonal *column* sweep
-    (:func:`~repro.core.bitparallel.bitlcs.bit_lcs` with
-    ``multi_diag=True``) instead advances whole ``w``-row columns with a
-    carry adder, which wants ``a`` aligned with the rows in plain order —
-    the same layout :func:`pack_b_words` gives ``b``. Returns
-    ``(a_words, valid_words, m_pad)`` with bit ``i % w`` of
-    ``a_words[i // w]`` holding ``a[i]``.
-    """
-    if not 1 <= w <= MAX_WIDTH:
-        raise ValueError(f"word width must be in [1, {MAX_WIDTH}]")
-    ca = np.asarray(ca)
-    _check_binary(ca, "a")
-    m = ca.size
-    n_words = max(1, -(-m // w), min_words or 1)
-    m_pad = n_words * w
-    bits = np.zeros(m_pad, dtype=np.uint8)
-    bits[:m] = ca
-    valid = np.zeros(m_pad, dtype=np.uint8)
-    valid[:m] = 1
-    return _bits_to_words(bits, w), _bits_to_words(valid, w), m_pad
-
-
 def _bits_to_words(bits: np.ndarray, w: int) -> np.ndarray:
     """Pack a flat bit array (LSB-first within each group of *w*)."""
     n_words = bits.size // w

@@ -36,8 +36,9 @@ Variants implemented here:
   multiplication (Fig. 2 of the paper).
 
 :func:`comb_antidiagonals` is the one anti-diagonal kernel: the
-single-pair, load-balanced, hybrid, parallel and lockstep combers all run
-their default ``blend="arith"`` through it.
+single-pair, load-balanced, hybrid and parallel combers run their default
+``blend="arith"`` through it, and the batch tier's lockstep comber runs
+nothing else.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def comb_antidiagonals(a_rev, b, h, v, ranges, h_valid=None, b_valid=None, scrat
         np.subtract(vv, dd, out=vv)
 
 
-def _comb_select(a_rev, b, h, v, ranges, blend: str, h_valid=None, b_valid=None) -> None:
+def _comb_select(a_rev, b, h, v, ranges, blend: str) -> None:
     """:func:`comb_antidiagonals` with one of the §4.1 select idioms in
     place of the arithmetic swap (the ablations; they allocate per
     anti-diagonal)."""
@@ -252,23 +253,10 @@ def _comb_select(a_rev, b, h, v, ranges, blend: str, h_valid=None, b_valid=None)
         v_sl = slice(v_lo, v_lo + length)
         hh = h[h_sl]
         vv = v[v_sl]
-        valid = None if h_valid is None else h_valid[h_sl] & b_valid[v_sl]
         if minmax:
-            match = a_rev[h_sl] == b[v_sl]
-            if valid is not None:
-                match &= valid
-            new_h, new_v = _minmax_select(hh, vv, match)
-            if valid is not None:
-                # min/max sorts even unmatched lanes: undo it at padding
-                # cells, which must stay untouched
-                invalid = ~valid
-                np.copyto(new_h, hh, where=invalid)
-                np.copyto(new_v, vv, where=invalid)
+            new_h, new_v = _minmax_select(hh, vv, a_rev[h_sl] == b[v_sl])
         else:
-            cond = (a_rev[h_sl] == b[v_sl]) | (hh > vv)
-            if valid is not None:
-                cond &= valid
-            new_h, new_v = select(hh, vv, cond)
+            new_h, new_v = select(hh, vv, (a_rev[h_sl] == b[v_sl]) | (hh > vv))
         h[h_sl] = new_h
         v[v_sl] = new_v
 
@@ -280,16 +268,14 @@ def _comb_region_simd(
     v_strands: np.ndarray,
     ranges,
     blend: BlendKind,
-    h_valid=None,
-    b_valid=None,
     scratch=None,
 ) -> None:
     """Comb the cells described by *ranges* in place: the kernel for
     ``blend="arith"``, the named select idiom otherwise."""
     if blend == "arith":
-        comb_antidiagonals(a_rev, b, h_strands, v_strands, ranges, h_valid, b_valid, scratch)
+        comb_antidiagonals(a_rev, b, h_strands, v_strands, ranges, scratch=scratch)
     else:
-        _comb_select(a_rev, b, h_strands, v_strands, ranges, blend, h_valid, b_valid)
+        _comb_select(a_rev, b, h_strands, v_strands, ranges, blend)
 
 
 def iterative_combing_antidiag_simd(

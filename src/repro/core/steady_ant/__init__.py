@@ -29,7 +29,7 @@ from .sequential import steady_ant_sequential
 from .precalc import steady_ant_precalc, PrecalcTable
 from .memory import steady_ant_memory
 from .combined import steady_ant_combined
-from .vectorized import steady_ant_vectorized, warm_compute_kernels
+from .vectorized import steady_ant_vectorized
 from .naive import sticky_multiply_dense, sticky_multiply_quadratic
 
 #: Default braid multiplication used throughout the library.
@@ -46,7 +46,6 @@ __all__ = [
     "sticky_multiply_dense",
     "sticky_multiply_quadratic",
     "PrecalcTable",
-    "warm_compute_kernels",
 ]
 
 

@@ -34,9 +34,7 @@ cheap enough to pay in every worker process.
 
 Index vectors for the batched kernels — at every order, base case or
 split level — are read-only views of one shared iota buffer that grows
-geometrically; :func:`warm_compute_kernels` preallocates it so a serving
-process does no cold-path allocation on its first request —
-``steady_ant.vectorized_plan_builds`` counts the buffer growths.
+geometrically; ``steady_ant.vectorized_plan_builds`` counts the growths.
 """
 
 from __future__ import annotations
@@ -52,12 +50,10 @@ from ._core import combine
 
 __all__ = [
     "DEFAULT_BASE_ORDER",
-    "DEFAULT_WARM_ORDER",
     "batch_distribution",
     "batch_sticky_multiply",
     "build_precalc_products",
     "steady_ant_vectorized",
-    "warm_compute_kernels",
 ]
 
 #: Recursion cutoff for the batched base case. Measured optimum: below 16
@@ -65,13 +61,9 @@ __all__ = [
 #: outgrow the saved dispatch.
 DEFAULT_BASE_ORDER = 16
 
-#: Orders covered by the default warm-up. Index vectors for *every*
-#: order (base cases and split levels alike) are views of one shared
-#: read-only iota buffer, so one preallocation covers them all.
-DEFAULT_WARM_ORDER = 1 << 15
-
-# the shared buffer grows geometrically under the lock; growth events
-# are counted so the serve tier can prove its warm-up covered the path
+# index vectors for *every* order (base cases and split levels alike)
+# are views of one shared read-only iota buffer, which grows
+# geometrically under the lock
 _iota_buf = np.empty(0, dtype=np.int64)
 _iota_lock = threading.Lock()
 
@@ -96,15 +88,6 @@ def _iota(n: int) -> np.ndarray:
 def _base_plan(n: int) -> dict[str, np.ndarray]:
     cols = _iota(n + 1)
     return {"cols": cols, "iota": cols[:n]}
-
-
-def warm_compute_kernels(max_order: int = DEFAULT_WARM_ORDER) -> int:
-    """Preallocate the shared index buffer up to *max_order* strands;
-    returns the order now covered. Idempotent and cheap — the serve
-    tier calls this from :meth:`repro.serve.Engine.start` so the first
-    served request pays no cold-path allocation (every plan at any
-    recursion level up to *max_order* is a view, not an ``arange``)."""
-    return _iota(max(2, max_order) + 1).size - 1
 
 
 def batch_distribution(ps: np.ndarray, plan: dict | None = None) -> np.ndarray:

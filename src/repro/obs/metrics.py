@@ -420,9 +420,7 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("steady_ant.vectorized_levels", "counter", "levels", "core.steady_ant",
      "Recursion levels expanded breadth-first by the vectorized steady ant."),
     ("steady_ant.vectorized_plan_builds", "counter", "plans", "core.steady_ant",
-     "Cold growths of the shared index buffer behind the batched kernels (zero after warm_compute_kernels)."),
-    ("compute.multi_diag_calls", "counter", "calls", "core.bitparallel",
-     "Bit-parallel LCS calls served by the multi-diagonal carry-adder column sweep."),
+     "Growths of the shared index buffer behind the batched kernels (geometric, so few per process)."),
     ("batch.pairs", "counter", "pairs", "batch",
      "String pairs accepted by the batched throughput engine."),
     ("batch.megabatches", "counter", "batches", "batch",
@@ -433,8 +431,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Grid cells combed by lockstep kernels including shape-bucket padding (M*N per lane)."),
     ("batch.real_cells", "counter", "cells", "batch",
      "Real (unpadded) grid cells covered by lockstep combing (sum of m*n over lanes)."),
-    ("batch.fallback_pairs", "counter", "pairs", "batch",
-     "Pairs routed through the per-pair fallback path (algorithms without a lockstep kernel)."),
     ("bitparallel.calls", "counter", "calls", "core.bitparallel",
      "Bit-parallel LCS computations (sequential bit_lcs)."),
     ("bitparallel.rounds", "counter", "rounds", "core.bitparallel",

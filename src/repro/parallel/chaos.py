@@ -93,7 +93,7 @@ class ChaosMachine:
       allocations, forcing the degraded-to-pickle transport path;
     - ``seed`` — the deterministic fault stream.
 
-    Spec rounds (``run_round_spec`` / ``run_round_arrays``) ship to
+    Spec rounds (``run_round_arrays`` / ``submit_round_arrays``) ship to
     worker processes, so faults are injected by *substituting* a
     module-level raiser for the task's function — ``fail`` and ``crash``
     are supported there, ``delay`` and ``abort_after`` apply to
@@ -257,7 +257,7 @@ class ChaosMachine:
         # submit_round_arrays injects at submission: the substituted
         # raiser ships with the round and fires at drain time, exactly
         # where a real in-flight fault would surface
-        if name in ("run_round_spec", "run_round_arrays", "submit_round_arrays"):
+        if name in ("run_round_arrays", "submit_round_arrays"):
             inner_fn = getattr(self.inner, name)  # AttributeError: capability absent
 
             def fault_injected(specs, **kw):

@@ -82,11 +82,6 @@ class _PendingRound:
     start: float
 
 
-def _call(payload: tuple[Callable, tuple, dict]) -> Any:
-    fn, args, kwargs = payload
-    return fn(*args, **kwargs)
-
-
 def _chunk_sizes(n: int, chunks: int) -> list[int]:
     chunks = max(1, min(chunks, n))
     base, extra = divmod(n, chunks)
@@ -96,9 +91,9 @@ def _chunk_sizes(n: int, chunks: int) -> list[int]:
 class ProcessMachine:
     """Executes rounds on a shared ``ProcessPoolExecutor``.
 
-    ``run_round`` accepts either zero-argument thunks (must be picklable —
-    prefer ``functools.partial`` over closures) or ``(fn, args, kwargs)``
-    triples via :meth:`run_round_spec` / :meth:`run_round_arrays`.
+    ``run_round`` accepts zero-argument thunks (must be picklable —
+    prefer ``functools.partial`` over closures); :meth:`run_round_arrays`
+    takes ``(fn, args, kwargs)`` triples.
     ``timeout`` bounds the whole round (seconds from submission).
     """
 
@@ -316,25 +311,6 @@ class ProcessMachine:
             self.rounds += 1
             self.tasks += len(thunks)
             self._account_round(len(thunks))
-        return results
-
-    def run_round_spec(
-        self, specs: Sequence[tuple[Callable, tuple, dict]], *, timeout: float | None = None
-    ) -> list:
-        """Run one round of ``(fn, args, kwargs)`` specs (one future per
-        task, no array transport). ``timeout`` bounds the round in
-        seconds."""
-        pool = self._require_pool()
-        start = time.perf_counter()
-        try:
-            with get_tracer().span("machine.round", args={"tasks": len(specs)}):
-                futures = [pool.submit(_call, s) for s in specs]
-                results = self._collect(futures, timeout)
-        finally:
-            self._elapsed += time.perf_counter() - start
-            self.rounds += 1
-            self.tasks += len(specs)
-            self._account_round(len(specs))
         return results
 
     # -- array transport rounds ----------------------------------------

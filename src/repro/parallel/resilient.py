@@ -116,7 +116,7 @@ class ResilientMachine:
     """A :class:`~repro.parallel.api.Machine` that survives backend faults.
 
     Satisfies the same protocol as the machine it wraps (including
-    ``run_round_spec``, synthesized from ``run_round`` when the inner
+    ``run_round_arrays``, synthesized from ``run_round`` when the inner
     machine lacks it), so all parallel call sites work unchanged.
 
     ``sleep`` is injectable so tests can skip real backoff delays.
@@ -185,33 +185,17 @@ class ResilientMachine:
             recover=self._durable_recovery(thunks),
         )
 
-    def run_round_spec(self, specs: Sequence[tuple[Callable, tuple, dict]]) -> list:
-        """Run pure ``(fn, args, kwargs)`` specs under the fault policy;
-        backends without spec support run them as plain thunks."""
-        specs = list(specs)
-        if not hasattr(self.inner, "run_round_spec"):
-            return self.run_round([partial(fn, *args, **kwargs) for fn, args, kwargs in specs])
-        # spec-capable backends ship tasks to worker processes: specs are
-        # pure (fn, args, kwargs) triples, safe to re-execute
-        return self._execute(
-            whole=lambda: self._inner_spec(specs),
-            single=lambda i: self._inner_spec([specs[i]])[0],
-            serial=lambda: self._serial.run_round(
-                [partial(fn, *args, **kwargs) for fn, args, kwargs in specs]
-            ),
-            n=len(specs),
-            done={},
-        )
-
     def run_round_arrays(self, specs: Sequence[tuple[Callable, tuple, dict]]) -> list:
-        """Array-spec variant of :meth:`run_round_spec` (zero-copy
-        transport when the backend has one)."""
+        """Run pure ``(fn, args, kwargs)`` specs under the fault policy
+        (zero-copy transport when the backend has one); backends without
+        array rounds run them as plain thunks."""
         specs = list(specs)
         if not hasattr(self.inner, "run_round_arrays"):
             return self.run_round([partial(fn, *args, **kwargs) for fn, args, kwargs in specs])
-        # like run_round_spec: array specs are pure triples whose ndarray
-        # arguments live in parent memory (arena views included), so both
-        # re-execution and the in-process serial fallback are safe
+        # array-capable backends ship tasks to worker processes: specs are
+        # pure triples whose ndarray arguments live in parent memory (arena
+        # views included), so both re-execution and the in-process serial
+        # fallback are safe
         return self._execute(
             whole=lambda: self._inner_arrays(specs),
             single=lambda i: self._inner_arrays([specs[i]])[0],
@@ -461,11 +445,6 @@ class ResilientMachine:
         if self._preemptive_timeout and self.policy.task_timeout is not None:
             return self.inner.run_round(thunks, timeout=self.policy.task_timeout)
         return self.inner.run_round(thunks)
-
-    def _inner_spec(self, specs) -> list:
-        if self._preemptive_timeout and self.policy.task_timeout is not None:
-            return self.inner.run_round_spec(specs, timeout=self.policy.task_timeout)
-        return self.inner.run_round_spec(specs)
 
     def _inner_arrays(self, specs) -> list:
         if self._preemptive_timeout and self.policy.task_timeout is not None:

@@ -569,9 +569,6 @@ def run_array_round(machine, specs: Sequence[tuple[Callable, tuple, dict]]) -> l
     rr = getattr(machine, "run_round_arrays", None)
     if rr is not None:
         return rr(specs)
-    rs = getattr(machine, "run_round_spec", None)
-    if rs is not None:
-        return rs(specs)
     from functools import partial
 
     return machine.run_round([partial(fn, *args, **kwargs) for fn, args, kwargs in specs])

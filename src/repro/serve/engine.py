@@ -1,17 +1,18 @@
 """A long-lived execution engine with an explicit lifetime.
 
 Every one-shot CLI run pays the full build-run-teardown cycle: spawn a
-worker pool, build the steady-ant :class:`PrecalcTable`, allocate
-shared-memory slabs, comb, then tear it all down. A serving process
-answers *many* requests, so :class:`Engine` hoists that cycle into an
-object with an explicit lifetime:
+worker pool, allocate shared-memory slabs, comb, then tear it all down.
+A serving process answers *many* requests, so :class:`Engine` hoists
+that cycle into an object with an explicit lifetime:
 
 - :meth:`Engine.start` builds the machine **once** (optionally
   fault-wrapped in a :class:`~repro.parallel.resilient.ResilientMachine`
-  and chaos-injected for testing), warms the process-wide
-  :class:`~repro.core.steady_ant.precalc.PrecalcTable`, and constructs a
-  persistent :class:`~repro.batch.BatchScheduler` whose shared-memory
-  slab pools are reused across requests;
+  and chaos-injected for testing) and constructs a persistent
+  :class:`~repro.batch.BatchScheduler` whose shared-memory slab pools
+  are reused across requests. Nothing the engine runs multiplies
+  braids — scores and kernel builds are lockstep combs, and
+  ``append``/``prepend`` resume a cached kernel's comb — so there is no
+  steady-ant table or plan cache to warm;
 - :meth:`Engine.run_batch` answers a batch of pairs on the warm
   machinery (thread-safe: concurrent callers serialize on an internal
   lock, which is exactly the continuous-batching daemon's dispatch
@@ -33,7 +34,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from ..batch import BatchScheduler, LOCKSTEP_ALGORITHM
+from ..batch import BatchScheduler
 from ..errors import EngineClosedError
 from ..obs import collect_machine
 from ..parallel import FaultPolicy, make_machine
@@ -55,11 +56,9 @@ class Engine:
         Worker count for pool-backed backends.
     transport:
         ``"pickle"`` or ``"shm"`` for the processes backend.
-    algorithm:
-        Semi-local kernel algorithm; the default is the lockstep-batched
-        one (anything else rides the per-pair fallback path).
-    max_lanes / min_side:
-        :class:`~repro.batch.BatchScheduler` knobs.
+    max_lanes:
+        :class:`~repro.batch.BatchScheduler` megabatch width cap (the
+        daemon also flushes at most this many requests at once).
     policy:
         A :class:`~repro.parallel.resilient.FaultPolicy`; defaults to
         ``FaultPolicy()`` (retries + degrade-to-serial) on real
@@ -68,14 +67,6 @@ class Engine:
         Optional :class:`~repro.parallel.chaos.ChaosMachine` kwargs for
         fault-injection testing (``fail_rate``, ``crash_rate``,
         ``shm_loss_after``, ``seed``, ...).
-    warm_precalc:
-        Build the steady-ant precalc table at :meth:`start` instead of
-        lazily inside the first request.
-    warm_compute:
-        Prefill the vectorized steady-ant plan cache
-        (:func:`~repro.core.steady_ant.warm_compute_kernels`) at
-        :meth:`start` so the first served request pays no cold-path
-        plan construction on the vectorized multiply.
     query_store_dir / query_max_bytes / query_max_kernels:
         The query tier's memoization. ``query_store_dir`` backs the
         :class:`~repro.query.QueryEngine` with an on-disk
@@ -93,32 +84,22 @@ class Engine:
         backend: str = "none",
         workers: int = 2,
         transport: str = "pickle",
-        algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
-        min_side: int = 16,
         policy: FaultPolicy | bool | None = None,
         chaos: dict | None = None,
-        warm_precalc: bool = True,
-        warm_compute: bool = True,
         query_store_dir: str | None = None,
         query_max_bytes: int | None = None,
         query_max_kernels: int = 64,
-        **algo_kwargs,
     ):
         self.backend = backend
         self.workers = int(workers)
         self.transport = transport
-        self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
-        self.min_side = int(min_side)
         self.policy = policy
         self.chaos = dict(chaos) if chaos else None
-        self.warm_precalc = bool(warm_precalc)
-        self.warm_compute = bool(warm_compute)
         self.query_store_dir = query_store_dir
         self.query_max_bytes = query_max_bytes
         self.query_max_kernels = int(query_max_kernels)
-        self.algo_kwargs = dict(algo_kwargs)
         self.machine = None
         self.scheduler: BatchScheduler | None = None
         self.query = None
@@ -162,21 +143,7 @@ class Engine:
                     chaos=self.chaos,
                     **backend_kwargs,
                 )
-            if self.warm_precalc:
-                from ..core.steady_ant.precalc import get_precalc_table
-
-                get_precalc_table()
-            if self.warm_compute:
-                from ..core.steady_ant import warm_compute_kernels
-
-                warm_compute_kernels()
-            self.scheduler = BatchScheduler(
-                self.machine,
-                algorithm=self.algorithm,
-                max_lanes=self.max_lanes,
-                min_side=self.min_side,
-                **self.algo_kwargs,
-            )
+            self.scheduler = BatchScheduler(self.machine, max_lanes=self.max_lanes)
             from ..query import QueryEngine
 
             store = None
@@ -322,7 +289,6 @@ class Engine:
         info: dict = {
             "state": self._state,
             "backend": self.backend,
-            "algorithm": self.algorithm,
             "batches": self.batches,
             "pairs_served": self.pairs_served,
             "queries_served": self.queries_served,

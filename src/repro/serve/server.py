@@ -18,10 +18,10 @@ into :class:`~repro.batch.BatchScheduler` megabatches on a warm
   passes while it is queued, it is answered ``deadline_expired`` and its
   compute is skipped.
 - **Flush policy** — the batcher takes the oldest queued request, then
-  collects more until ``max_wait_ms`` elapses or ``max_batch_requests``
-  / ``max_batch_pairs`` is reached, and dispatches the group to the
-  engine on an executor thread. Up to ``inflight_flushes`` groups
-  overlap (collect k+1 while k computes).
+  collects more until ``max_wait_ms`` elapses, the group holds the
+  engine's ``max_lanes`` requests or :data:`MAX_FLUSH_PAIRS` pairs, and
+  dispatches the group to the engine on an executor thread. Up to
+  ``inflight_flushes`` groups overlap (collect k+1 while k computes).
 - **Query tier** — ``query`` requests (:mod:`repro.query`) ride the same
   envelope: when the pair's kernel is already memoized the request is
   answered inline on the executor, *bypassing the batcher entirely*;
@@ -65,6 +65,9 @@ __all__ = ["ServerConfig", "LcsServer"]
 
 _DRAIN_SENTINEL = object()
 
+#: pairs per flush: one giant ``batch`` request cannot stall the lane
+MAX_FLUSH_PAIRS = 4096
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -75,9 +78,6 @@ class ServerConfig:
     - ``max_wait_ms`` — how long the batcher keeps collecting after the
       first request of a flush arrives (the latency half of the flush
       policy).
-    - ``max_batch_requests`` — requests per flush (``None`` = the
-      engine's ``max_lanes``); ``max_batch_pairs`` caps total pairs per
-      flush so one giant ``batch`` request cannot stall the lane.
     - ``queue_cap`` — bounded admission queue length; beyond it requests
       are shed with ``overloaded``.
     - ``quota_rate`` / ``quota_burst`` — per-client token bucket
@@ -90,8 +90,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_wait_ms: float = 5.0
-    max_batch_requests: int | None = None
-    max_batch_pairs: int = 4096
     queue_cap: int = 256
     quota_rate: float = 0.0
     quota_burst: float = 16.0
@@ -466,7 +464,7 @@ class LcsServer:
 
     async def _batcher(self) -> None:
         """Collect admitted requests into flush groups and dispatch them."""
-        max_requests = self.config.max_batch_requests or self.engine.max_lanes
+        max_requests = self.engine.max_lanes
         while True:
             item = await self._queue.get()
             if item is _DRAIN_SENTINEL:
@@ -479,7 +477,7 @@ class LcsServer:
             started = time.monotonic()
             while (
                 len(group) < max_requests
-                and total_pairs < self.config.max_batch_pairs
+                and total_pairs < MAX_FLUSH_PAIRS
             ):
                 remaining = budget - (time.monotonic() - started)
                 if remaining <= 0:

@@ -1,9 +1,33 @@
 """Tests for approximate pattern matching on semi-local kernels."""
 
 import numpy as np
+import pytest
 
 from repro.apps.approximate_matching import Match, best_window, find_matches, sliding_window_scores
 from repro.baselines.lcs_dp import lcs_score_scalar
+from repro.core.dominance import WaveletCounter
+
+
+def _best_window_loop(pattern, text):
+    """Reference: every window scored by DP; highest score, then the
+    shortest window, then the smallest start wins."""
+    best = Match(0, 0, 0)
+    for l in range(len(text) + 1):
+        for r in range(l, len(text) + 1):
+            score = lcs_score_scalar(pattern, text[l:r])
+            if score > best.score or (score == best.score and r - l < best.length):
+                best = Match(l, r, score)
+    return best
+
+
+@pytest.fixture
+def no_scalar_probes(monkeypatch):
+    """Fail on any one-at-a-time dominance count."""
+
+    def scalar_count(self, i, j):
+        raise AssertionError(f"scalar count({i}, {j})")
+
+    monkeypatch.setattr(WaveletCounter, "count", scalar_count)
 
 
 class TestSlidingWindow:
@@ -44,6 +68,22 @@ class TestBestWindow:
     def test_empty_pattern(self):
         m = best_window("", "text")
         assert m.score == 0 and m.length == 0
+
+    def test_empty_text(self):
+        assert best_window("abc", "") == Match(0, 0, 0)
+
+    def test_matches_nested_loop_with_ties(self, rng):
+        # a binary alphabet makes ties in score and length common
+        for _ in range(60):
+            pattern = rng.integers(0, 2, int(rng.integers(0, 6))).tolist()
+            text = rng.integers(0, 2, int(rng.integers(0, 11))).tolist()
+            assert best_window(pattern, text) == _best_window_loop(pattern, text), (
+                pattern, text)
+
+    def test_probes_are_batched(self, rng, no_scalar_probes):
+        pattern = rng.integers(0, 4, 12).tolist()
+        text = rng.integers(0, 4, 40).tolist()
+        assert best_window(pattern, text) == _best_window_loop(pattern, text)
 
 
 class TestFindMatches:

@@ -1,8 +1,9 @@
 """Property: the batch API is indistinguishable from the per-pair loop.
 
-For every algorithm, blend and dtype combination — and under injected
-faults and transport degradation — ``batch_semilocal_lcs(pairs)`` must
-return exactly what ``[semilocal_lcs(a, b) for a, b in pairs]`` does.
+The kernel is unique, so the lockstep batch must return exactly what
+``[semilocal_lcs(a, b, algorithm) for a, b in pairs]`` does for every
+algorithm, blend and strand dtype of the per-pair combers — and keep
+doing so under injected faults and transport degradation.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import batch_bit_lcs, batch_lcs, batch_semilocal_lcs, semilocal_lcs
-from repro.batch.lockstep import BATCH_BLENDS
 from repro.parallel import make_machine, shared_memory_available
 
 needs_shm = pytest.mark.skipif(
@@ -36,30 +36,32 @@ def _codes(batch):
     ]
 
 
-def _check(pairs, algorithm, **kwargs):
-    got = batch_semilocal_lcs(pairs, algorithm=algorithm, min_side=4, **kwargs)
-    for (a, b), kern in zip(pairs, got):
-        ref = semilocal_lcs(a, b, algorithm=algorithm, **{
-            k: v for k, v in kwargs.items() if k not in ("machine", "max_lanes")
-        })
-        assert kern.m == ref.m and kern.n == ref.n
-        assert np.array_equal(kern.kernel, ref.kernel)
+def _check(pairs, algorithms=("semi_antidiag_simd",), *, machine=None, **kwargs):
+    """Batch kernels == ``semilocal_lcs(a, b, alg, **kwargs)`` for each alg."""
+    got = batch_semilocal_lcs(pairs, machine=machine, min_side=4)
+    for algorithm in algorithms:
+        for (a, b), kern in zip(pairs, got):
+            ref = semilocal_lcs(a, b, algorithm=algorithm, **kwargs)
+            assert kern.m == ref.m and kern.n == ref.n
+            assert np.array_equal(kern.kernel, ref.kernel), algorithm
 
 
-@given(ragged_batches, st.sampled_from(sorted(repro.SEMILOCAL_ALGORITHMS)))
+@given(ragged_batches)
 @settings(max_examples=40, deadline=None)
-def test_batch_equals_loop_every_algorithm(batch, algorithm):
-    _check(_codes(batch), algorithm)
+def test_batch_equals_loop_every_algorithm(batch):
+    _check(_codes(batch), sorted(repro.SEMILOCAL_ALGORITHMS))
 
 
-@given(ragged_batches, st.sampled_from(BATCH_BLENDS), st.booleans())
+@given(
+    ragged_batches,
+    st.sampled_from(["where", "masked", "arith", "bitwise", "minmax"]),
+    st.booleans(),
+)
 @settings(max_examples=40, deadline=None)
 def test_batch_equals_loop_every_blend_and_dtype(batch, blend, use_16bit):
     pairs = _codes(batch)
-    _check(pairs, "semi_antidiag_simd", blend=blend, use_16bit_when_possible=use_16bit)
-    scores = batch_lcs(
-        pairs, blend=blend, use_16bit_when_possible=use_16bit, min_side=4
-    )
+    _check(pairs, blend=blend, use_16bit_when_possible=use_16bit)
+    scores = batch_lcs(pairs, min_side=4)
     assert list(scores) == [repro.lcs(a, b) for a, b in pairs]
 
 
@@ -86,7 +88,7 @@ def test_batch_equals_loop_under_chaos(batch, seed):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _check(pairs, "semi_antidiag_simd", machine=machine)
+        _check(pairs, machine=machine)
 
 
 @needs_shm
@@ -107,7 +109,7 @@ def test_batch_equals_loop_processes_resilient_chaos(rng):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _check(pairs, "semi_antidiag_simd", machine=machine)
+            _check(pairs, machine=machine)
     finally:
         machine.close()
 

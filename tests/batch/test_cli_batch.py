@@ -52,9 +52,11 @@ class TestBatchCommand:
         assert main(["batch", "-"]) == 0
         assert _parse_scores(capsys.readouterr().out) == _expected()
 
-    def test_fallback_algorithm(self, pairs_file, capsys):
-        assert main(["batch", pairs_file, "--algorithm", "semi_rowmajor"]) == 0
-        assert _parse_scores(capsys.readouterr().out) == _expected()
+    def test_algorithm_flag_rejected(self, pairs_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", pairs_file, "--algorithm", "semi_rowmajor"])
+        assert exc.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
 
     def test_serial_backend(self, pairs_file, capsys):
         assert main(["batch", pairs_file, "--backend", "serial"]) == 0

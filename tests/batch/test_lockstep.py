@@ -1,4 +1,10 @@
-"""Lockstep kernel correctness: batched combing == per-pair combing."""
+"""Lockstep kernel correctness: batched combing == per-pair combing.
+
+The lockstep comber has one kernel and takes the single-pair strand
+dtype; the per-pair references below run every §4.1 blend of the
+single-pair comber, and ``use_16bit=False`` shrinks the uint16 limit so
+the lanes comb on int64 strands.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +12,17 @@ import pytest
 import repro
 from repro.batch.bitlockstep import comb_bit_lockstep, pack_bit_lanes
 from repro.batch.lockstep import (
-    BATCH_BLENDS,
     code_dtype_for,
     comb_lockstep,
     lockstep_strand_dtype,
     pack_lanes,
 )
 from repro.core.bitparallel import bit_lcs
+from repro.core.combing import iterative as it
 from repro.core.combing.iterative import iterative_combing_antidiag_simd
+
+#: the single-pair comber's blends (the §4.1 ablation)
+BLENDS = ("where", "masked", "arith", "bitwise", "minmax")
 
 
 def _ragged_pairs(rng, count=12, max_m=24, max_n=36):
@@ -33,28 +42,36 @@ def _bucket_shape(pairs):
     return M, N
 
 
-@pytest.mark.parametrize("blend", BATCH_BLENDS)
+@pytest.mark.parametrize("blend", BLENDS)
 @pytest.mark.parametrize("use_16bit", [True, False])
-def test_ragged_kernels_match_per_pair(rng, blend, use_16bit):
+def test_ragged_kernels_match_per_pair(rng, monkeypatch, blend, use_16bit):
     pairs = _ragged_pairs(rng)
     M, N = _bucket_shape(pairs)
+    if not use_16bit:
+        monkeypatch.setattr(it, "_UNSIGNED_LIMIT_16", M + N - 1)
     stacks = pack_lanes(pairs, M, N)
-    out = comb_lockstep(*stacks, blend=blend, use_16bit=use_16bit, want="kernels")
+    out = comb_lockstep(*stacks, want="kernels")
+    assert out.dtype == (np.uint16 if use_16bit else np.int64)
     for k, (ca, cb) in enumerate(pairs):
-        expected = iterative_combing_antidiag_simd(ca, cb)
+        expected = iterative_combing_antidiag_simd(
+            ca, cb, blend=blend, use_16bit_when_possible=use_16bit
+        )
         got = out[k, : ca.size + cb.size].astype(np.int64)
         assert np.array_equal(got, expected), (blend, use_16bit, k)
 
 
-@pytest.mark.parametrize("blend", BATCH_BLENDS)
+@pytest.mark.parametrize("blend", BLENDS)
 def test_ragged_scores_match_lcs(rng, blend):
     pairs = _ragged_pairs(rng)
     M, N = _bucket_shape(pairs)
     stacks = pack_lanes(pairs, M, N)
-    scores = comb_lockstep(*stacks, blend=blend, want="scores")
+    scores = comb_lockstep(*stacks, want="scores")
     assert scores.dtype == np.int64
     for k, (ca, cb) in enumerate(pairs):
-        assert scores[k] == repro.lcs(ca, cb), (blend, k)
+        kernel = repro.SemiLocalKernel(
+            iterative_combing_antidiag_simd(ca, cb, blend=blend), ca.size, cb.size
+        )
+        assert scores[k] == kernel.lcs_whole() == repro.lcs(ca, cb), (blend, k)
 
 
 def test_uniform_batch_skips_validity_masks(rng):
@@ -105,10 +122,10 @@ def test_bad_arguments_raise(rng):
     pairs = _ragged_pairs(rng, count=2)
     M, N = _bucket_shape(pairs)
     stacks = pack_lanes(pairs, M, N)
-    with pytest.raises(ValueError, match="blend"):
-        comb_lockstep(*stacks, blend="nope")
     with pytest.raises(ValueError, match="want"):
         comb_lockstep(*stacks, want="nope")
+    with pytest.raises(TypeError):
+        comb_lockstep(*stacks, blend="minmax")
 
 
 def test_bit_lockstep_matches_bit_lcs(rng):

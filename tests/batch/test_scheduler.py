@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.batch import BatchScheduler, batch_lcs, batch_semilocal_lcs
-from repro.batch.scheduler import _ceil_pow2, lockstep_supported
+from repro.batch.scheduler import _ceil_pow2
 from repro.obs import get_metrics
 from repro.parallel import ProcessMachine, make_machine, shared_memory_available
 
@@ -42,11 +42,19 @@ def test_ceil_pow2_floor():
     assert _ceil_pow2(65, 16) == 128
 
 
-def test_lockstep_supported_gate():
-    assert lockstep_supported("semi_antidiag_simd", {})
-    assert lockstep_supported("semi_antidiag_simd", {"blend": "arith"})
-    assert not lockstep_supported("semi_antidiag_simd", {"dtype": np.int64})
-    assert not lockstep_supported("semi_rowmajor", {})
+def test_algorithm_argument_rejected():
+    """Every pair is combed in lockstep: there is no algorithm to pick."""
+    pairs = [("abc", "abd")]
+    with pytest.raises(TypeError):
+        BatchScheduler(None, algorithm="semi_rowmajor")
+    with pytest.raises(TypeError):
+        batch_lcs(pairs, algorithm="semi_antidiag_simd")
+    with pytest.raises(TypeError):
+        batch_semilocal_lcs(pairs, algorithm="semi_antidiag_simd")
+    with pytest.raises(TypeError):
+        batch_lcs(pairs, "semi_antidiag_simd")
+    with pytest.raises(TypeError):
+        BatchScheduler(None, blend="minmax")
 
 
 def test_in_process_kernels_and_scores(rng):
@@ -85,27 +93,6 @@ def test_max_lanes_splits_megabatches(rng):
     assert added == 4  # ceil(10 / 3) megabatches in the one shared bucket
 
 
-def test_fallback_algorithms_match(rng):
-    pairs = _pairs(rng, count=8, max_len=16)
-    ref = _reference(pairs)
-    for algorithm in ("semi_rowmajor", "semi_recursive"):
-        _assert_equal(batch_semilocal_lcs(pairs, algorithm=algorithm), ref)
-    before = get_metrics().get("batch.fallback_pairs").value
-    batch_lcs(pairs, algorithm="semi_rowmajor")
-    assert get_metrics().get("batch.fallback_pairs").value - before == len(
-        [p for p in pairs if p[0].size and p[1].size]
-    )
-
-
-def test_unsupported_kwargs_force_fallback(rng):
-    pairs = _pairs(rng, count=4, max_len=10)
-    ref = _reference(pairs)
-    # dtype kwarg is not lockstep-compatible; must still be correct
-    _assert_equal(
-        batch_semilocal_lcs(pairs, algorithm="semi_antidiag_simd", dtype=np.int64), ref
-    )
-
-
 @needs_shm
 def test_process_machine_shm_round_trip(rng):
     pairs = _pairs(rng, count=25)
@@ -136,14 +123,13 @@ def test_slab_pool_reused_across_batches(rng):
         assert reuses > 0
 
 
-def test_fallback_over_machine(rng):
+def test_pickle_process_machine_round_trip(rng):
     pairs = _pairs(rng, count=6, max_len=12)
     ref = _reference(pairs)
     machine = make_machine("processes", workers=2)
     try:
-        _assert_equal(
-            batch_semilocal_lcs(pairs, algorithm="semi_rowmajor", machine=machine), ref
-        )
+        _assert_equal(batch_semilocal_lcs(pairs, machine=machine), ref)
+        assert list(batch_lcs(pairs, machine=machine)) == [k.lcs_whole() for k in ref]
     finally:
         machine.close()
 

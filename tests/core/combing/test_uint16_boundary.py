@@ -82,9 +82,9 @@ class TestEndToEndAtShrunkenLimit:
         seen = []
         kernel = it.comb_antidiagonals
 
-        def spy(a_rev, b_codes, h, *args):
+        def spy(a_rev, b_codes, h, *args, **kwargs):
             seen.append(h.dtype)
-            return kernel(a_rev, b_codes, h, *args)
+            return kernel(a_rev, b_codes, h, *args, **kwargs)
 
         monkeypatch.setattr(it, "comb_antidiagonals", spy)
         for limit in (30, 75, 76, 200):  # m+n=76: below, at, above

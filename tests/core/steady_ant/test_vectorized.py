@@ -2,25 +2,15 @@
 
 The vectorized engine must be *bit-identical* to the scalar recursion
 (it reuses the scalar combine walk), its batched dense base product must
-match the per-pair dense reference lane by lane, and its warm-up must
-actually cover the cold path it claims to cover.
+match the per-pair dense reference lane by lane.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.dist_matrix import sticky_multiply_dense
-from repro.core.steady_ant import (
-    steady_ant_sequential,
-    steady_ant_vectorized,
-    warm_compute_kernels,
-)
-from repro.core.steady_ant.vectorized import (
-    DEFAULT_WARM_ORDER,
-    batch_sticky_multiply,
-    build_precalc_products,
-)
-from repro.obs import get_metrics
+from repro.core.steady_ant import steady_ant_sequential, steady_ant_vectorized
+from repro.core.steady_ant.vectorized import batch_sticky_multiply, build_precalc_products
 
 
 def _pairs(rng, n, count):
@@ -67,24 +57,6 @@ class TestVectorizedEngine:
             assert np.array_equal(
                 steady_ant_vectorized(p, q, base_order=base_order), want
             ), base_order
-
-
-class TestWarmup:
-    def test_warm_covers_the_cold_path(self, rng):
-        from repro.core.steady_ant import vectorized as V
-
-        V._iota_buf = np.empty(0, dtype=np.int64)  # cold process
-        warm_compute_kernels(512)
-        counter = get_metrics().counter("steady_ant.vectorized_plan_builds")
-        before = counter.value
-        p, q = rng.permutation(400), rng.permutation(400)
-        steady_ant_vectorized(p, q)
-        assert counter.value == before  # no growth during the multiply
-
-    def test_warm_is_idempotent_and_reports_coverage(self):
-        covered = warm_compute_kernels()
-        assert covered >= DEFAULT_WARM_ORDER
-        assert warm_compute_kernels() == covered  # second call: no-op
 
 
 class TestPrecalcBuilds:

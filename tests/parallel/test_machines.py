@@ -58,17 +58,17 @@ class TestThreadMachine:
 class TestProcessMachine:
     def test_round_spec(self):
         with ProcessMachine(workers=2) as m:
-            out = m.run_round_spec([(_square, (k,), {}) for k in range(5)])
+            out = m.run_round_arrays([(_square, (k,), {}) for k in range(5)])
         assert out == [0, 1, 4, 9, 16]
 
     def test_numpy_payload(self):
         with ProcessMachine(workers=2) as m:
-            out = m.run_round_spec([(np.sum, (np.arange(10),), {})])
+            out = m.run_round_arrays([(np.sum, (np.arange(10),), {})])
         assert out == [45]
 
     def test_accounting(self):
         with ProcessMachine(workers=2) as m:
-            m.run_round_spec([(_square, (2,), {})])
+            m.run_round_arrays([(_square, (2,), {})])
             assert m.rounds == 1 and m.tasks == 1 and m.elapsed > 0
 
     def test_invalid_workers(self):
@@ -82,7 +82,7 @@ class TestProcessMachineFailureSemantics:
             futures_after = []
             with pytest.raises(ValueError) as info:
                 # one worker: the failing first task guarantees pending siblings
-                m.run_round_spec(
+                m.run_round_arrays(
                     [(_raise, ("boom",), {})]
                     + [(_sleep_and_return, (0.2, k), {}) for k in range(6)]
                 )
@@ -92,7 +92,7 @@ class TestProcessMachineFailureSemantics:
     def test_timeout_raises_task_timeout_error(self):
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
-                m.run_round_spec([(_sleep_and_return, (5.0, 1), {})], timeout=0.2)
+                m.run_round_arrays([(_sleep_and_return, (5.0, 1), {})], timeout=0.2)
             assert info.value.task_index == 0
 
     def test_close_is_idempotent_and_closed_machine_errors(self):
@@ -100,14 +100,14 @@ class TestProcessMachineFailureSemantics:
         m.close()
         m.close()  # second close must not raise
         with pytest.raises(BackendError):
-            m.run_round_spec([(_square, (2,), {})])
+            m.run_round_arrays([(_square, (2,), {})])
 
     def test_rebuild_gives_fresh_pool(self):
         m = ProcessMachine(workers=1)
         m.close()
         m.rebuild()
         try:
-            assert m.run_round_spec([(_square, (3,), {})]) == [9]
+            assert m.run_round_arrays([(_square, (3,), {})]) == [9]
         finally:
             m.close()
 

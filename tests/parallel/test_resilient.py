@@ -91,7 +91,7 @@ class TestProtocolConformance:
         assert m.run_round([lambda: 1, lambda: 2]) == [1, 2]
         assert m.run_uniform_round([(lambda: 3, 2)]) == [3]
         assert m.run_serial(lambda: 4) == 4
-        assert m.run_round_spec([(int, ("5",), {})]) == [5]
+        assert m.run_round_arrays([(int, ("5",), {})]) == [5]
         assert m.elapsed > 0
         assert m.health()["task_failures"] == 0
         m.reset()
@@ -303,7 +303,7 @@ class TestCloseIdempotence:
             self.closes = 0
             self.rebuilds = 0
 
-        def run_round_spec(self, tasks):
+        def run_round_arrays(self, tasks):
             return [fn(*a, **kw) for fn, a, kw in tasks]
 
         def close(self):
@@ -353,7 +353,7 @@ class TestProcessBackendRecovery:
         flag = tmp_path / "crashed-once"
         with ProcessMachine(workers=2) as inner:
             m = ResilientMachine(inner, FaultPolicy(max_retries=2, **FAST), **NO_SLEEP)
-            out = m.run_round_spec([(_crash_once, (str(flag),), {}), (_identity, (7,), {})])
+            out = m.run_round_arrays([(_crash_once, (str(flag),), {}), (_identity, (7,), {})])
         assert out == ["survived", 7]
         assert m.pool_rebuilds >= 1
         assert m.health()["task_failures"] >= 1

@@ -260,14 +260,14 @@ class TestProcessTransport:
         assert max(counts.values()) <= 8, counts
 
     def test_round_deadline_shared_across_tasks(self):
-        # 4 x 0.2s sleeps on 1 worker: per-task waits would pass a 0.3s
-        # timeout individually, a shared round deadline must not
+        # 2 x 0.2s sleeps on 1 worker, one per chunk: per-chunk waits would
+        # pass a 0.3s timeout individually, a shared round deadline must not
         from repro.errors import TaskTimeoutError
 
         with ProcessMachine(workers=1, transport="pickle") as m:
             with pytest.raises(TaskTimeoutError):
-                m.run_round_spec(
-                    [(__import__("time").sleep, (0.2,), {}) for _ in range(4)],
+                m.run_round_arrays(
+                    [(__import__("time").sleep, (0.2,), {}) for _ in range(2)],
                     timeout=0.3,
                 )
 

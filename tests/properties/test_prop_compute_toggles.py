@@ -1,16 +1,15 @@
 """Property tests for the compute choices that must not change results.
 
-The vectorized steady ant, the parallel grid's level schedule and the
-multi-diagonal bit comber are pure batching/scheduling changes, so each
-must be *bit-identical* to its reference across random inputs, blends,
-strand dtypes, braid multiplications and machines.
+The vectorized steady ant and the parallel grid's level schedule are
+pure batching/scheduling changes, so each must be *bit-identical* to its
+reference across random inputs, blends, strand dtypes, braid
+multiplications and machines.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitparallel import bit_lcs
 from repro.core.combing.hybrid import hybrid_combing_grid
 from repro.core.combing.parallel import parallel_hybrid_combing_grid
 from repro.core.steady_ant import (
@@ -52,14 +51,3 @@ def test_all_toggle_combinations_agree(a, b, blend, use_16bit):
                 )
                 assert np.array_equal(np.asarray(got, dtype=np.int64), want), (
                     machine, multiply)
-
-
-bits = st.lists(st.integers(0, 1), min_size=1, max_size=200)
-
-
-@given(bits, bits, st.sampled_from([1, 3, 8, 17, 32, 64]))
-@settings(max_examples=60, deadline=None)
-def test_multi_diag_equals_new2(xs, ys, w):
-    a = np.array(xs, dtype=np.int64)
-    b = np.array(ys, dtype=np.int64)
-    assert bit_lcs(a, b, w=w, multi_diag=True) == bit_lcs(a, b, variant="new2", w=w)

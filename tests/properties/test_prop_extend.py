@@ -91,9 +91,9 @@ def test_both_strand_dtypes_straddling_the_limit(monkeypatch, limit):
     seen = []
     kernel = it.comb_antidiagonals
 
-    def spy(a_rev, b_codes, h, *args):
+    def spy(a_rev, b_codes, h, *args, **kwargs):
         seen.append(h.dtype)
-        return kernel(a_rev, b_codes, h, *args)
+        return kernel(a_rev, b_codes, h, *args, **kwargs)
 
     monkeypatch.setattr(it, "comb_antidiagonals", spy)
     monkeypatch.setattr(it, "_UNSIGNED_LIMIT_16", limit)

@@ -88,10 +88,12 @@ class TestServing:
             h = e.health()
         assert h["state"] == "running"  # snapshot taken before close
         assert h["backend"] == "none"
+        assert "algorithm" not in h  # every batch is a lockstep comb
         assert h["batches"] == 1
         assert h["pairs_served"] == len(PAIRS)
         assert h["resilience"] == {}  # in-process: no machine
         assert h["last_batch"]["pairs"] == len(PAIRS)
+        assert "fallback" not in h["last_batch"]
 
     def test_serial_backend_round_trip(self):
         with Engine(backend="serial", policy=False) as e:
@@ -100,55 +102,44 @@ class TestServing:
         assert e.machine is None  # released by close
 
 
-class TestWarmCompute:
-    """PR 8: :meth:`Engine.start` prefills the vectorized steady-ant plan
-    cache, so the *first* served request does no cold-path plan build."""
+class TestNoBraidMultiply:
+    """Scores, kernel builds and append/prepend are all combs: the engine
+    warms no steady-ant state and multiplies no braids."""
 
-    # big enough that the semi-local kernel recurses into the vectorized
-    # base case at several distinct orders
-    PAIR = [("abracadabra" * 8, "alakazamabra" * 8)]
+    COUNTERS = (
+        "steady_ant.multiplies",
+        "steady_ant.vectorized_multiplies",
+        "steady_ant.precalc_builds",
+    )
 
-    @staticmethod
-    def _builds() -> int:
+    def test_serving_multiplies_no_braids(self):
         from repro.obs import get_metrics
 
-        return get_metrics().counter("steady_ant.vectorized_plan_builds").value
+        metrics = get_metrics()
+        before = {name: metrics.counter(name).value for name in self.COUNTERS}
+        items = [
+            ("lcs", "abracadabra" * 8, "alakazamabra" * 8, {}),
+            ("append", "abracadabra" * 8, "alakazamabra" * 8, {"suffix": "cadabra"}),
+            ("prepend", "abracadabra" * 8, "alakazamabra" * 8, {"prefix": "abra"}),
+        ]
+        with Engine(backend="none") as e:
+            e.scores(PAIRS)
+            assert all(exc is None for _, exc in e.run_query_batch(items))
+        assert {name: metrics.counter(name).value for name in self.COUNTERS} == before
 
-    @staticmethod
-    def _engine(**kw) -> Engine:
-        from repro.core.steady_ant import steady_ant_vectorized
-
-        return Engine(
-            backend="none",
-            algorithm="semi_hybrid",
-            multiply=steady_ant_vectorized,
-            **kw,
-        )
-
-    @staticmethod
-    def _chill():
-        """Simulate a cold serving process: drop the shared index buffer."""
-        import numpy as np
-
-        from repro.core.steady_ant import vectorized as V
-
-        V._iota_buf = np.empty(0, dtype=np.int64)
-
-    def test_first_request_pays_no_plan_builds(self):
-        self._chill()
-        with self._engine() as e:
-            before = self._builds()
-            e.scores(self.PAIR)
-            assert self._builds() == before
-
-    def test_cold_engine_would_have_built(self):
-        # guard against vacuity: with warming disabled the same request
-        # *does* build plans, so the warm assertion above is meaningful
-        self._chill()
-        with self._engine(warm_compute=False, warm_precalc=False) as e:
-            before = self._builds()
-            e.scores(self.PAIR)
-            assert self._builds() > before
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"algorithm": "semi_hybrid"},
+            {"blend": "minmax"},
+            {"min_side": 8},
+            {"warm_precalc": False},
+            {"warm_compute": False},
+        ],
+    )
+    def test_dropped_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
+            Engine(backend="none", **knob)
 
 
 class TestDegradedMode:

@@ -49,6 +49,25 @@ class TestBitAndTrace:
         assert "anti-diagonal" in capsys.readouterr().out
 
 
+class TestRemovedFlags:
+    """Knobs that could only ever pick a speed are gone; argparse rejects
+    them with exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "-", "--algorithm", "semi_rowmajor"],
+            ["serve", "--algorithm", "semi_rowmajor"],
+            ["bit", "1000", "0100", "--multi-diag"],
+        ],
+    )
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBraid:
     def test_ascii(self, capsys):
         assert main(["braid", "ab", "ba"]) == 0
