@@ -93,6 +93,35 @@ def test_max_lanes_splits_megabatches(rng):
     assert added == 4  # ceil(10 / 3) megabatches in the one shared bucket
 
 
+def test_fallback_algorithms_match(rng):
+    """The algorithms once served pair by pair agree with the lockstep comb,
+    and every pair's cells are now combed in lockstep."""
+    pairs = _pairs(rng, count=8, max_len=16)
+    before = get_metrics().get("batch.real_cells").value
+    got = batch_semilocal_lcs(pairs)
+    assert get_metrics().get("batch.real_cells").value - before == sum(
+        a.size * b.size for a, b in pairs
+    )
+    for algorithm in ("semi_rowmajor", "semi_recursive"):
+        _assert_equal(
+            got, [repro.semilocal_lcs(a, b, algorithm=algorithm) for a, b in pairs]
+        )
+    assert list(batch_lcs(pairs)) == [k.lcs_whole() for k in got]
+
+
+def test_unsupported_kwargs_force_fallback(rng):
+    """A strand dtype the lockstep comb does not take changes no kernel:
+    the batch equals the per-pair comb run with that dtype."""
+    pairs = _pairs(rng, count=4, max_len=10)
+    ref = [
+        repro.semilocal_lcs(a, b, algorithm="semi_antidiag_simd", dtype=np.int64)
+        for a, b in pairs
+    ]
+    _assert_equal(batch_semilocal_lcs(pairs), ref)
+    with pytest.raises(TypeError):
+        batch_semilocal_lcs(pairs, dtype=np.int64)
+
+
 @needs_shm
 def test_process_machine_shm_round_trip(rng):
     pairs = _pairs(rng, count=25)
