@@ -245,7 +245,11 @@ def parallel_hybrid_combing_grid(
     :func:`~repro.core.combing.hybrid.plan_grid_reduction` (always along
     the blocks' longest side) is then one further round, so a run takes
     exactly ``1 + len(levels)`` machine rounds. ``n_tasks`` defaults to
-    ``2 * machine.workers`` so the dynamic schedule has slack to balance.
+    ``machine.workers``: one leaf per worker. With workers of equal
+    speed, doubling the leaves leaves no worker fewer cells to comb in
+    round 0, and it adds a compose level, whose multiplications lie on
+    the critical path (on two workers, 2 leaves and 1 compose in 2 rounds
+    instead of 4 leaves and 3 composes in 3).
 
     Braid multiplications default to the level-vectorized steady ant
     (:func:`~repro.core.steady_ant.vectorized.steady_ant_vectorized`);
@@ -268,45 +272,48 @@ def parallel_hybrid_combing_grid(
     thunks on the same level schedule.
 
     Observability: wrapped in the ``combing`` phase and a
-    ``combing.grid`` span; when tracing (or remote metric collection) is
-    active on a :class:`~repro.parallel.processes.ProcessMachine`, the
-    worker-side leaf/compose spans and counters ship back with each
-    round and re-parent under this call's round spans.
+    ``combing.grid`` span that records the resolved ``n_tasks`` and the
+    grid shape ``m_outer x n_outer``; when tracing (or remote metric
+    collection) is active on a
+    :class:`~repro.parallel.processes.ProcessMachine`, the worker-side
+    leaf/compose spans and counters ship back with each round and
+    re-parent under this call's round spans.
     """
+    ca, cb = encode(a), encode(b)
+    m, n = ca.size, cb.size
+    if n_tasks is None:
+        n_tasks = max(1, machine.workers)
+    m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
+    a_lens = _split_lengths(m, m_outer)
+    b_lens = _split_lengths(n, n_outer)
     with _obs_phase("combing"), get_tracer().span(
-        "combing.grid", args={"n_tasks": n_tasks or 0}
+        "combing.grid",
+        args={"n_tasks": n_tasks, "m_outer": len(a_lens), "n_outer": len(b_lens)},
     ):
         return _parallel_hybrid_grid_impl(
-            a, b, machine,
-            n_tasks=n_tasks, blend=blend, use_16bit=use_16bit,
-            multiply=multiply, strand_limit=strand_limit, checkpoint=checkpoint,
+            ca, cb, machine, a_lens, b_lens,
+            blend=blend, use_16bit=use_16bit, multiply=multiply, checkpoint=checkpoint,
         )
 
 
 def _parallel_hybrid_grid_impl(
-    a: Sequenceish,
-    b: Sequenceish,
+    ca: np.ndarray,
+    cb: np.ndarray,
     machine,
+    a_lens: list[int],
+    b_lens: list[int],
     *,
-    n_tasks: int | None,
     blend: str,
     use_16bit: bool,
     multiply,
-    strand_limit: int | None,
     checkpoint,
 ) -> PermArray:
-    ca, cb = encode(a), encode(b)
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
     if multiply is None:
         from ..steady_ant import steady_ant_vectorized as multiply
-    if n_tasks is None:
-        n_tasks = max(1, 2 * machine.workers)
 
-    m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
-    a_lens = _split_lengths(m, m_outer)
-    b_lens = _split_lengths(n, n_outer)
     plan = plan_grid_reduction(m, n, a_lens, b_lens)
     n_outer = len(b_lens)
     n_leaves = len(a_lens) * n_outer

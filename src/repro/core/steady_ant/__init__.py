@@ -18,9 +18,10 @@ Implementations, mirroring the paper's §5.1 ablation:
 - :func:`repro.core.steady_ant.parallel.steady_ant_parallel` — the
   task-parallel version of Listing 5,
 - :func:`repro.core.steady_ant.vectorized.steady_ant_vectorized` — the
-  level-vectorized engine: breadth-first expansion with batched lane
-  splits and a batched dense (min,+) base case (bit-identical to
-  "combined", ~2x faster warm; the parallel grid's default multiply),
+  level-vectorized engine: breadth-first expansion in which every split,
+  base case (one batched dense (min,+) product) and ant passage runs
+  once per recursion level over stacked lanes (bit-identical to
+  "combined"; the parallel grid's default multiply),
 - :func:`repro.core.steady_ant.naive.sticky_multiply_dense` — O(n^3)
   explicit reference (re-exported from :mod:`repro.core.dist_matrix`).
 """

@@ -27,11 +27,13 @@ Failure semantics (the contract the resilience layer builds on):
 - the first failing task cancels every still-pending future of its
   round (fail fast, no dangling siblings);
 - a dead worker process (``BrokenExecutor``) is wrapped as
-  :class:`~repro.errors.WorkerCrashError` with the failing task index,
-  and a result wait exceeding the *round deadline* (``timeout`` seconds
-  after the round started, shared across the in-order waits — not
-  per-task, which would let a k-task round wait k x timeout) as
-  :class:`~repro.errors.TaskTimeoutError`; genuine task exceptions
+  :class:`~repro.errors.WorkerCrashError`, and a result wait exceeding
+  the *round deadline* (``timeout`` seconds after the round started,
+  shared across the in-order waits — not per-task, which would let a
+  k-task round wait k x timeout) as
+  :class:`~repro.errors.TaskTimeoutError`. Both carry the failing task's
+  index, or ``None`` when the failing future is a chunk of several
+  tasks (the message names their range); genuine task exceptions
   propagate unchanged (annotated with the task index);
 - :meth:`rebuild` replaces a broken executor with a fresh one (the
   arena and its segments survive — workers re-attach lazily);
@@ -249,19 +251,33 @@ class ProcessMachine:
             raise BackendError("machine is closed")
         return self._pool
 
-    def _collect(self, futures: list, timeout: float | None) -> list:
+    def _collect(
+        self, futures: list, timeout: float | None, offsets: list[int] | None = None,
+        n_tasks: int | None = None,
+    ) -> list:
         """Gather results in order against a single round deadline; on the
-        first failure cancel every remaining future and raise a wrapped,
-        index-carrying error.
+        first failure cancel every remaining future and raise a wrapped
+        error that names the failing task.
 
         ``timeout`` is the budget for the *round*: the deadline is fixed
         when collection starts and shared across the in-order waits, so a
         round of k tasks can never wait k x timeout.
+
+        Without *offsets* each future is one task. With them, future ``j``
+        is a chunk holding tasks ``offsets[j]`` up to the next offset (or
+        *n_tasks*): a failing chunk of one task reports that task's index,
+        a longer one reports ``task_index=None`` and names its task range.
         """
+        if offsets is None:
+            offsets = list(range(len(futures)))
+            n_tasks = len(futures)
+        ends = offsets[1:] + [n_tasks]
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
         try:
-            for i, f in enumerate(futures):
+            for f, first, end in zip(futures, offsets, ends):
+                index = first if end - first == 1 else None
+                what = f"task {first}" if index is not None else f"tasks {first}-{end - 1}"
                 remaining = (
                     None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
@@ -269,17 +285,17 @@ class ProcessMachine:
                     results.append(f.result(timeout=remaining))
                 except BrokenExecutor as exc:
                     raise WorkerCrashError(
-                        f"worker process died while executing task {i}", task_index=i
+                        f"worker process died while executing {what}", task_index=index
                     ) from exc
                 except FutureTimeoutError as exc:
                     raise TaskTimeoutError(
-                        f"task {i} result not ready within the round deadline "
+                        f"{what} result not ready within the round deadline "
                         f"({timeout}s)",
-                        task_index=i,
+                        task_index=index,
                     ) from exc
                 except Exception as exc:
                     if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
-                        exc.add_note(f"raised by task {i} of a {len(futures)}-task round")
+                        exc.add_note(f"raised by {what} of a {n_tasks}-task round")
                     raise
         except BaseException:
             for f in futures:
@@ -429,7 +445,9 @@ class ProcessMachine:
         metrics = get_metrics()
         returned = 0
         try:
-            raw = self._collect(pending.futures, pending.timeout)
+            raw = self._collect(
+                pending.futures, pending.timeout, pending.offsets, pending.n_specs
+            )
             results: list[Any] = []
             for offset, blob in zip(pending.offsets, raw):
                 returned += len(blob)

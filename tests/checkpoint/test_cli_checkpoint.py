@@ -57,9 +57,11 @@ class TestParallelCheckpoint:
     def test_chaos_abort_after_crashes(self, tmp_path):
         from repro.parallel import ChaosProcessDeath
 
+        # a grid has one leaf per worker: two workers give two leaves and
+        # a compose, so the "death" strikes the third task
         with pytest.raises(ChaosProcessDeath):
             main(
-                ["parallel", A * 4, B * 4, "--checkpoint-dir",
+                ["parallel", A * 4, B * 4, "--backend", "threads", "--checkpoint-dir",
                  str(tmp_path / "store"), "--chaos-abort-after", "2"]
             )
         # the two completed tasks were persisted before the "death"

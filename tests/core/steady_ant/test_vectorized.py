@@ -1,15 +1,17 @@
-"""Unit tests for the level-vectorized steady ant (PR 8).
+"""Unit tests for the level-vectorized steady ant.
 
-The vectorized engine must be *bit-identical* to the scalar recursion
-(it reuses the scalar combine walk), its batched dense base product must
-match the per-pair dense reference lane by lane.
+The vectorized engine must be *bit-identical* to the scalar recursion:
+its level-wide ant passage walks each staircase node by node on narrow
+levels and in lockstep lanes on wide ones, and either walk must give the
+scalar product. Its batched dense base product must match the per-pair
+dense reference lane by lane.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.dist_matrix import sticky_multiply_dense
-from repro.core.steady_ant import steady_ant_sequential, steady_ant_vectorized
+from repro.core.steady_ant import steady_ant_sequential, steady_ant_vectorized, vectorized
 from repro.core.steady_ant.vectorized import batch_sticky_multiply, build_precalc_products
 
 
@@ -57,6 +59,30 @@ class TestVectorizedEngine:
             assert np.array_equal(
                 steady_ant_vectorized(p, q, base_order=base_order), want
             ), base_order
+
+
+class TestWalkCrossover:
+    def _spy(self, monkeypatch, calls):
+        for name in ("_walk_scalar", "_walk_lockstep"):
+            real = getattr(vectorized, name)
+
+            def walk(rc, rl, cr, cl, real=real, name=name):
+                calls.append((name, rc.shape[0]))
+                return real(rc, rl, cr, cl)
+
+            monkeypatch.setattr(vectorized, name, walk)
+
+    def test_one_product_runs_both_walks(self, monkeypatch, rng):
+        # order 300 splits into groups of 1, 2, 4, 4+4 and 4+12 nodes:
+        # at a crossover of 8 lanes only the 12-node group walks in lockstep
+        monkeypatch.setattr(vectorized, "LOCKSTEP_WALK_LANES", 8)
+        calls = []
+        self._spy(monkeypatch, calls)
+        p, q = rng.permutation(300), rng.permutation(300)
+        assert np.array_equal(steady_ant_vectorized(p, q), steady_ant_sequential(p, q))
+        assert {name for name, _ in calls} == {"_walk_scalar", "_walk_lockstep"}
+        for name, lanes in calls:
+            assert (name == "_walk_lockstep") == (lanes >= 8), (name, lanes)
 
 
 class TestPrecalcBuilds:

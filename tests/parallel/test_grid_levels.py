@@ -18,6 +18,7 @@ from repro.core.combing.iterative import iterative_combing_rowmajor
 from repro.core.combing.parallel import parallel_hybrid_combing_grid
 from repro.core.steady_ant import steady_ant_multiply
 from repro.errors import DegradedExecutionWarning
+from repro.obs import get_tracer
 from repro.parallel import (
     ChaosMachine,
     FaultPolicy,
@@ -61,6 +62,34 @@ class TestSchedule:
                 assert np.array_equal(grid(machine), reference())
                 assert machine.rounds == 1 + len(levels)
                 assert machine.tasks == 4 + sum(len(ops) for ops in levels)
+
+    def test_default_is_one_leaf_per_worker(self):
+        # two workers: 2 leaves and 1 compose, in 2 rounds of 3 tasks
+        with ThreadMachine(workers=2) as machine:
+            got = parallel_hybrid_combing_grid(A, B, machine)
+            assert np.array_equal(got, reference())
+            assert (machine.rounds, machine.tasks) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "workers, n_tasks, args",
+        [
+            (1, None, {"n_tasks": 1, "m_outer": 1, "n_outer": 1}),
+            (2, None, {"n_tasks": 2, "m_outer": 2, "n_outer": 1}),
+            (2, 4, {"n_tasks": 4, "m_outer": 2, "n_outer": 2}),
+        ],
+    )
+    def test_span_records_the_grid_that_ran(self, workers, n_tasks, args):
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enabled = True
+        try:
+            with ThreadMachine(workers=workers) as machine:
+                parallel_hybrid_combing_grid(A, B, machine, n_tasks=n_tasks)
+            (span,) = [e for e in tracer.events() if e["name"] == "combing.grid"]
+        finally:
+            tracer.enabled = False
+            tracer.reset()
+        assert span["args"] == args
 
     def test_process_machine_rounds(self):
         with ProcessMachine(workers=2) as machine:

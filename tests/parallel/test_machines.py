@@ -95,6 +95,27 @@ class TestProcessMachineFailureSemantics:
                 m.run_round_arrays([(_sleep_and_return, (5.0, 1), {})], timeout=0.2)
             assert info.value.task_index == 0
 
+    def test_timeout_names_tasks_not_chunks(self):
+        # one worker submits a round as two chunks: specs 0-1 and 2-3
+        with ProcessMachine(workers=1) as m:
+            with pytest.raises(TaskTimeoutError) as info:
+                m.run_round_arrays(
+                    [(_sleep_and_return, (0.0, k), {}) for k in range(3)]
+                    + [(_sleep_and_return, (1.0, 3), {})],
+                    timeout=0.5,
+                )
+            assert info.value.task_index is None
+            assert "tasks 2-3" in str(info.value)
+        # three specs chunk as 0-1 and 2: a one-spec chunk names its spec
+        with ProcessMachine(workers=1) as m:
+            with pytest.raises(TaskTimeoutError) as info:
+                m.run_round_arrays(
+                    [(_sleep_and_return, (0.0, k), {}) for k in range(2)]
+                    + [(_sleep_and_return, (1.0, 2), {})],
+                    timeout=0.5,
+                )
+            assert info.value.task_index == 2
+
     def test_close_is_idempotent_and_closed_machine_errors(self):
         m = ProcessMachine(workers=1)
         m.close()

@@ -1,16 +1,22 @@
 """Property-based tests for sticky braid multiplication."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.combing.iterative import iterative_combing_rowmajor
+from repro.core.compose import compose_horizontal, compose_vertical
 from repro.core.dist_matrix import distribution_matrix, sticky_multiply_dense
 from repro.core.steady_ant import (
     steady_ant_combined,
     steady_ant_memory,
     steady_ant_precalc,
     steady_ant_sequential,
+    steady_ant_vectorized,
 )
+from repro.core.steady_ant import vectorized
 
 permutations = st.integers(0, 2**32 - 1).flatmap(
     lambda seed: st.integers(1, 48).map(
@@ -48,9 +54,61 @@ def test_all_variants_agree(pq):
         steady_ant_precalc(p, q),
         steady_ant_memory(p, q),
         steady_ant_combined(p, q),
+        steady_ant_vectorized(p, q),
     ]
     for r in results[1:]:
         assert np.array_equal(results[0], r)
+
+
+def _compose_operands(seed, m, n, cut, horizontal):
+    """The pair that ``compose_horizontal`` / ``compose_vertical`` hand
+    to the multiply when gluing the kernels of two leaf blocks of a
+    random ``m x n`` pair, cut at fraction *cut* of the glued side."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, 4, m), rng.integers(0, 4, n)
+    captured = []
+
+    def capture(p, q):
+        captured.append((p, q))
+        return steady_ant_sequential(p, q)
+
+    if horizontal:
+        k = 1 + int(cut * (n - 2))
+        compose_horizontal(
+            iterative_combing_rowmajor(a, b[:k]), iterative_combing_rowmajor(a, b[k:]),
+            m, k, n - k, capture,
+        )
+    else:
+        k = 1 + int(cut * (m - 2))
+        compose_vertical(
+            iterative_combing_rowmajor(a[:k], b), iterative_combing_rowmajor(a[k:], b),
+            k, m - k, n, capture,
+        )
+    (pq,) = captured
+    return pq
+
+
+kernel_operands = st.builds(
+    _compose_operands,
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 150),
+    st.integers(2, 150),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+
+
+@given(st.one_of(pairs(max_n=300), kernel_operands))
+@settings(max_examples=60, deadline=None)
+def test_vectorized_matches_sequential(pq):
+    """The level-wide ant passage against the scalar recursion, with the
+    staircase walked node by node where the level is narrow (the
+    default) and in lockstep lanes on every level."""
+    p, q = pq
+    want = steady_ant_sequential(p, q)
+    assert np.array_equal(steady_ant_vectorized(p, q), want)
+    with mock.patch.object(vectorized, "LOCKSTEP_WALK_LANES", 1):
+        assert np.array_equal(steady_ant_vectorized(p, q), want)
 
 
 @given(pairs(max_n=32))
