@@ -18,6 +18,7 @@ import numpy as np
 
 from ..alphabet import encode
 from ..baselines.prefix_lcs import prefix_lcs_rowmajor
+from ..batch import MAX_LANES, batch_lcs
 from ..types import CodeArray, Sequenceish
 
 
@@ -41,7 +42,7 @@ def similarity_matrix(
     *,
     lcs: Callable | None = None,
     machine=None,
-    max_lanes: int = 64,
+    max_lanes: int = MAX_LANES,
 ) -> np.ndarray:
     """Symmetric pairwise distance matrix (zero diagonal).
 
@@ -58,8 +59,6 @@ def similarity_matrix(
             for j in range(i + 1, k):
                 out[i, j] = out[j, i] = lcs_distance(encoded[i], encoded[j], lcs=lcs)
         return out
-    from ..batch import batch_lcs  # lazy: apps loads before batch in repro
-
     idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
     scores = batch_lcs(
         [(encoded[i], encoded[j]) for i, j in idx], machine=machine, max_lanes=max_lanes

@@ -8,13 +8,14 @@ scoring), that overhead can be amortized across queries instead:
 
 - :mod:`repro.batch.lockstep` combs B same-bucket grids in lockstep —
   strand arrays gain a lane axis and each anti-diagonal update serves
-  all B pairs in one vectorized step (ragged lanes are padded under
-  validity masks);
+  all B pairs in one vectorized step (ragged lanes are padded with
+  letters no lane has, whose cells never swap);
 - :mod:`repro.batch.bitlockstep` does the same for the bit-parallel
   binary comber at word granularity;
-- :mod:`repro.batch.scheduler` buckets pairs by padded shape, packs
-  megabatches into reusable shared-memory slabs, and pipelines rounds
-  through a machine (``submit`` round ``k + 1`` while ``k`` computes).
+- :mod:`repro.batch.scheduler` buckets pairs by power-of-two shape,
+  pads each megabatch to its own lanes, packs megabatches into
+  reusable shared-memory slabs, and pipelines rounds through a machine
+  (``submit`` round ``k + 1`` while ``k`` computes).
 
 The public entry points below accept raw strings or code arrays and
 return exactly what per-pair :func:`repro.semilocal_lcs` /
@@ -27,7 +28,7 @@ import numpy as np
 
 from .lockstep import comb_lockstep, pack_lanes
 from .bitlockstep import comb_bit_lockstep, pack_bit_lanes
-from .scheduler import BatchScheduler, run_bit_batches
+from .scheduler import MAX_LANES, BatchScheduler, run_bit_batches
 
 __all__ = [
     "batch_semilocal_lcs",
@@ -46,8 +47,7 @@ def batch_semilocal_lcs(
     pairs,
     *,
     machine=None,
-    max_lanes: int = 64,
-    min_side: int = 16,
+    max_lanes: int = MAX_LANES,
 ):
     """Solve semi-local LCS for many ``(a, b)`` pairs at once.
 
@@ -60,7 +60,7 @@ def batch_semilocal_lcs(
     """
     from ..core.kernel import SemiLocalKernel
 
-    sched = BatchScheduler(machine, max_lanes=max_lanes, min_side=min_side)
+    sched = BatchScheduler(machine, max_lanes=max_lanes)
     return [
         SemiLocalKernel(kern, m, n, validate=False)
         for kern, m, n in sched.run(pairs, want="kernels")
@@ -71,8 +71,7 @@ def batch_lcs(
     pairs,
     *,
     machine=None,
-    max_lanes: int = 64,
-    min_side: int = 16,
+    max_lanes: int = MAX_LANES,
 ) -> np.ndarray:
     """Plain LCS scores for many pairs (int64 array, input order).
 
@@ -80,7 +79,7 @@ def batch_lcs(
     score is read straight off the final vertical strands — so it is the
     fastest way to answer "how similar are all of these?".
     """
-    sched = BatchScheduler(machine, max_lanes=max_lanes, min_side=min_side)
+    sched = BatchScheduler(machine, max_lanes=max_lanes)
     return np.asarray(sched.run(pairs, want="scores"), dtype=np.int64)
 
 

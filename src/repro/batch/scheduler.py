@@ -4,13 +4,15 @@ Turns an arbitrary ragged stream of string pairs into a small number of
 lockstep megabatches and keeps a machine's workers saturated:
 
 1. **Bucketing** — oriented pairs (``m <= n`` after an orientation flip
-   recorded per lane) are grouped by padded shape ``(ceil_pow2(m),
-   ceil_pow2(n))``, floored at ``min_side`` so tiny pairs share one
-   bucket instead of fragmenting into dozens. Power-of-two rounding
-   bounds padding waste at <2x per axis while collapsing the number of
-   distinct kernel shapes (each shape is one worker task).
+   recorded per lane) are grouped by the key ``(ceil_pow2(m),
+   ceil_pow2(n))``, floored at :data:`MIN_SIDE` so small pairs share
+   one bucket instead of fragmenting into dozens. Power-of-two keys
+   bound padding waste at <2x per axis while keeping the number of
+   megabatches (each one a full anti-diagonal sweep) small.
 2. **Megabatch packing** — each bucket is cut into megabatches of at
-   most ``max_lanes`` lanes; lane stacks are packed directly into the
+   most ``max_lanes`` lanes (:data:`MAX_LANES` by default), and each
+   megabatch is padded to the largest ``m`` and ``n`` among its own
+   lanes, not to its key. Lane stacks are packed directly into the
    machine's reusable shared-memory slabs
    (:meth:`~repro.parallel.transport.SharedArena.slab`), so a steady
    state of pipelined rounds allocates zero new segments.
@@ -51,6 +53,18 @@ from .lockstep import comb_lockstep, pack_lanes
 #: rounds in flight per dispatch: double buffering, which beats one
 #: round at a time on lcsbench's ``batch`` workload (DESIGN.md §3i)
 PIPELINE_DEPTH = 2
+
+#: bucket floor: pairs with a side below this share the smallest bucket
+#: of that axis. Every megabatch pays a full sweep of anti-diagonals, so
+#: on lcsbench's ``batch`` 128 with :data:`MAX_LANES` (10 megabatches;
+#: 23 at the old 16 / 64) beat 64 and tied 256, which pads 14% more
+#: cells (EXPERIMENTS.md, "Batch defaults")
+MIN_SIDE = 128
+
+#: default megabatch width cap of the lockstep path: wider megabatches
+#: mean fewer sweeps, and 256 beat 64 and 128 on lcsbench's ``batch``
+#: in-process and on the pool (EXPERIMENTS.md, "Batch defaults")
+MAX_LANES = 256
 
 
 def _ceil_pow2(x: int, floor: int) -> int:
@@ -107,25 +121,15 @@ class BatchScheduler:
         Any :class:`~repro.parallel.api.Machine` (or ``None`` to comb
         in-process — still lockstep-vectorized across lanes).
     max_lanes:
-        Megabatch width cap. Wider amortizes dispatch further but grows
-        the padded working set; 64 keeps a 1k x 1k uint16 bucket's
-        strand state comfortably inside L2-per-core on common machines.
-    min_side:
-        Bucket floor: pairs smaller than this share the smallest bucket.
+        Megabatch width cap (default :data:`MAX_LANES`). Wider megabatches
+        comb fewer sweeps of anti-diagonals, each over more lanes.
     """
 
-    def __init__(
-        self,
-        machine=None,
-        *,
-        max_lanes: int = 64,
-        min_side: int = 16,
-    ):
+    def __init__(self, machine=None, *, max_lanes: int = MAX_LANES):
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
         self.machine = machine
         self.max_lanes = int(max_lanes)
-        self.min_side = int(min_side)
         #: stats of the most recent :meth:`run` (pairs, megabatches,
         #: padded/real cells, per-megabatch lane counts)
         #: — long-lived callers (the serving engine) read these instead
@@ -181,15 +185,15 @@ class BatchScheduler:
         for i, ca, cb in work:
             flipped = ca.size > cb.size
             cx, cy = (cb, ca) if flipped else (ca, cb)
-            key = (
-                _ceil_pow2(cx.size, self.min_side),
-                _ceil_pow2(cy.size, self.min_side),
-            )
+            key = (_ceil_pow2(cx.size, MIN_SIDE), _ceil_pow2(cy.size, MIN_SIDE))
             buckets.setdefault(key, []).append((i, cx, cy, flipped))
         megabatches = []  # (M, N, [(i, cx, cy, flipped), ...])
-        for (M, N), lanes in sorted(buckets.items()):
+        for _, lanes in sorted(buckets.items()):
             for lo in range(0, len(lanes), self.max_lanes):
-                megabatches.append((M, N, lanes[lo : lo + self.max_lanes]))
+                chunk = lanes[lo : lo + self.max_lanes]
+                M = max(cx.size for _, cx, _, _ in chunk)
+                N = max(cy.size for _, _, cy, _ in chunk)
+                megabatches.append((M, N, chunk))
         stats["megabatches"] += len(megabatches)
         for M, N, lanes in megabatches:
             lanes_hist.append(len(lanes))

@@ -670,6 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semi-local LCS, sticky braids and bit-parallel LCS (ICPP 2021 reproduction)",
     )
     from . import __version__
+    from .batch import MAX_LANES
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -848,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="many-pair LCS through the batched throughput engine",
         description=(
-            "Score many string pairs at once: pairs sharing a padded shape "
+            "Score many string pairs at once: pairs of similar shape "
             "comb in lockstep, megabatches ship through reusable shared-memory "
             "slabs, and rounds pipeline across workers. PAIRS is a text file "
             "with one TAB-separated pair per line ('-' reads stdin)."
@@ -876,9 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-lanes",
         type=int,
-        default=64,
+        default=MAX_LANES,
         metavar="B",
-        help="megabatch width cap (default: 64)",
+        help=f"megabatch width cap (default: {MAX_LANES})",
     )
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_batch)

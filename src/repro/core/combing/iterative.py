@@ -202,7 +202,7 @@ def antidiag_scratch(h: np.ndarray, width: int):
     return np.empty(shape, np.bool_), np.empty(shape, np.bool_), np.empty(shape, h.dtype)
 
 
-def comb_antidiagonals(a_rev, b, h, v, ranges, h_valid=None, b_valid=None, scratch=None) -> None:
+def comb_antidiagonals(a_rev, b, h, v, ranges, scratch=None) -> None:
     """The anti-diagonal kernel: comb the cells of *ranges* in place.
 
     Each cell is one comparator of the transposition network (Krusche and
@@ -211,13 +211,14 @@ def comb_antidiagonals(a_rev, b, h, v, ranges, h_valid=None, b_valid=None, scrat
     ``uint16`` strands too under modular arithmetic — written into scratch
     that is allocated once per call (or passed in, see
     :func:`antidiag_scratch`), so an anti-diagonal costs 7 NumPy
-    dispatches (9 with validity masks) and no allocation.
+    dispatches and no allocation.
 
     Strands are 1-D (one grid: ``h`` is ``(m,)``, ``v`` is ``(n,)``) or
     2-D ``(positions, lanes)`` (B grids combed in lockstep), with
-    ``a_rev``/``b`` shaped alike. ``h_valid``/``b_valid`` gate the swap so
-    padding cells of ragged lanes never swap. *ranges* yields ``(length,
-    h_lo, v_lo)`` triples as :func:`_antidiag_ranges` does.
+    ``a_rev``/``b`` shaped alike; ragged lanes need no mask, because
+    :func:`repro.batch.lockstep.pack_lanes` pads them with letters no
+    lane has, whose cells never swap. *ranges* yields ``(length, h_lo,
+    v_lo)`` triples as :func:`_antidiag_ranges` does.
     """
     if scratch is None:
         scratch = antidiag_scratch(h, min(h.shape[0], v.shape[0]))
@@ -233,9 +234,6 @@ def comb_antidiagonals(a_rev, b, h, v, ranges, h_valid=None, b_valid=None, scrat
         np.equal(a_rev[h_sl], b[v_sl], out=pp)
         np.greater(hh, vv, out=qq)
         np.logical_or(pp, qq, out=pp)
-        if h_valid is not None:
-            np.logical_and(pp, h_valid[h_sl], out=pp)
-            np.logical_and(pp, b_valid[v_sl], out=pp)
         np.subtract(vv, hh, out=dd)
         np.multiply(dd, pp, out=dd, casting="unsafe")
         np.add(hh, dd, out=hh)

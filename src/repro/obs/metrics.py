@@ -428,7 +428,8 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("batch.lanes", "histogram", "lanes", "batch",
      "Lane count (batch width B) of each dispatched megabatch."),
     ("batch.padded_cells", "counter", "cells", "batch",
-     "Grid cells combed by lockstep kernels including shape-bucket padding (M*N per lane)."),
+     "Grid cells combed by lockstep kernels including padding (M*N per lane, M and N the "
+     "largest sides among the megabatch's lanes)."),
     ("batch.real_cells", "counter", "cells", "batch",
      "Real (unpadded) grid cells covered by lockstep combing (sum of m*n over lanes)."),
     ("bitparallel.calls", "counter", "calls", "core.bitparallel",

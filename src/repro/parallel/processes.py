@@ -38,7 +38,10 @@ Failure semantics (the contract the resilience layer builds on):
 - :meth:`rebuild` replaces a broken executor with a fresh one (the
   arena and its segments survive — workers re-attach lazily);
 - :meth:`close` is idempotent, cancels queued work and unlinks every
-  arena segment.
+  arena segment;
+- once a round has overrun its deadline, :meth:`close` and
+  :meth:`rebuild` terminate the workers instead of waiting for the late
+  task to finish.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ class ProcessMachine:
         self._shm_lost = False
         self._fallback_warned = False
         self._shm_fail_after: int | None = None
+        #: a round overran its deadline: its late task may still hold a worker
+        self._overran = False
         self._elapsed = 0.0
         self.rounds = 0
         self.tasks = 0
@@ -288,6 +293,7 @@ class ProcessMachine:
                         f"worker process died while executing {what}", task_index=index
                     ) from exc
                 except FutureTimeoutError as exc:
+                    self._overran = True
                     raise TaskTimeoutError(
                         f"{what} result not ready within the round deadline "
                         f"({timeout}s)",
@@ -554,17 +560,28 @@ class ProcessMachine:
         fresh pool (the arena is recreated lazily on first broadcast).
         """
         get_metrics().inc("machine.rebuilds", 1)
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        self._stop_pool()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
+
+    def _stop_pool(self) -> None:
+        """Shut the executor down, cancelling queued work. A shutdown
+        joins the workers, so after a round overran its deadline the
+        workers are terminated first rather than waited for (the executor
+        has no public way to do that before Python 3.14)."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if self._overran:
+            for proc in list((pool._processes or {}).values()):
+                proc.terminate()
+            self._overran = False
+        pool.shutdown(cancel_futures=True)
 
     def close(self) -> None:
         """Shut down the pool and release every shared-memory segment.
 
         Idempotent; :meth:`rebuild` revives a closed machine."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        self._stop_pool()
         if self._arena is not None:
             self._arena.close()
             self._arena = None

@@ -10,7 +10,9 @@ Shares the fail-fast round semantics of
 :class:`~repro.parallel.processes.ProcessMachine`: the first failing
 task cancels still-pending siblings, result waits honor ``timeout``
 (raising :class:`~repro.errors.TaskTimeoutError`), and :meth:`close` is
-idempotent.
+idempotent. A thread cannot be terminated: once a round has overrun its
+deadline, :meth:`close` and :meth:`rebuild` shut the executor down
+without waiting, and the late task finishes on its own.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class ThreadMachine:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(max_workers=workers)
+        #: a round overran its deadline: its late task may still hold a worker
+        self._overran = False
         self._elapsed = 0.0
         self.rounds = 0
         self.tasks = 0
@@ -78,6 +82,7 @@ class ThreadMachine:
                 try:
                     results.append(f.result(timeout=remaining))
                 except FutureTimeoutError as exc:
+                    self._overran = True
                     raise TaskTimeoutError(
                         f"task {i} result not ready within the round deadline "
                         f"({timeout}s)",
@@ -119,15 +124,20 @@ class ThreadMachine:
         replaces workers, not the machine's history.
         """
         get_metrics().inc("machine.rebuilds", 1)
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        self._stop_pool()
         self._pool = ThreadPoolExecutor(max_workers=self.workers)
+
+    def _stop_pool(self) -> None:
+        """Shut the executor down, cancelling queued work; after an
+        overrun, without waiting for the late task."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=not self._overran, cancel_futures=True)
+            self._overran = False
 
     def close(self) -> None:
         """Shut the executor down (idempotent); :meth:`rebuild` revives."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        self._stop_pool()
 
     def __enter__(self) -> "ThreadMachine":
         return self

@@ -13,11 +13,22 @@ from hypothesis import strategies as st
 
 import repro
 from repro import batch_bit_lcs, batch_lcs, batch_semilocal_lcs, semilocal_lcs
+from repro.batch import scheduler
 from repro.parallel import make_machine, shared_memory_available
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_buckets():
+    """A bucket floor of 4 spreads these short pairs over several buckets,
+    so one batch runs several megabatches of different shapes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "MIN_SIDE", 4)
+        yield
+
 
 # ragged batches: lengths 0..18 including empties, ternary alphabet
 ragged_batches = st.lists(
@@ -38,7 +49,7 @@ def _codes(batch):
 
 def _check(pairs, algorithms=("semi_antidiag_simd",), *, machine=None, **kwargs):
     """Batch kernels == ``semilocal_lcs(a, b, alg, **kwargs)`` for each alg."""
-    got = batch_semilocal_lcs(pairs, machine=machine, min_side=4)
+    got = batch_semilocal_lcs(pairs, machine=machine)
     for algorithm in algorithms:
         for (a, b), kern in zip(pairs, got):
             ref = semilocal_lcs(a, b, algorithm=algorithm, **kwargs)
@@ -61,7 +72,7 @@ def test_batch_equals_loop_every_algorithm(batch):
 def test_batch_equals_loop_every_blend_and_dtype(batch, blend, use_16bit):
     pairs = _codes(batch)
     _check(pairs, blend=blend, use_16bit_when_possible=use_16bit)
-    scores = batch_lcs(pairs, min_side=4)
+    scores = batch_lcs(pairs)
     assert list(scores) == [repro.lcs(a, b) for a, b in pairs]
 
 
@@ -123,7 +134,8 @@ def test_batch_survives_shm_loss_pickle_fallback(rng):
         (rng.integers(0, 4, 20), rng.integers(0, 4, 25)) for _ in range(12)
     ]
     machine = make_machine("processes", workers=2, transport="shm")
-    machine.inject_shm_loss(2)
+    # the one megabatch packs two slabs: the outage lands on the second
+    machine.inject_shm_loss(1)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -12,10 +12,10 @@ import pytest
 import repro
 from repro.batch.bitlockstep import comb_bit_lockstep, pack_bit_lanes
 from repro.batch.lockstep import (
-    code_dtype_for,
     comb_lockstep,
     lockstep_strand_dtype,
     pack_lanes,
+    pad_codes,
 )
 from repro.core.bitparallel import bit_lcs
 from repro.core.combing import iterative as it
@@ -74,18 +74,62 @@ def test_ragged_scores_match_lcs(rng, blend):
         assert scores[k] == kernel.lcs_whole() == repro.lcs(ca, cb), (blend, k)
 
 
-def test_uniform_batch_skips_validity_masks(rng):
+def test_uniform_batch_matches_per_pair(rng):
     pairs = [
         (rng.integers(0, 4, 10).astype(np.int64), rng.integers(0, 4, 15).astype(np.int64))
         for _ in range(6)
     ]
-    a_rev, b_codes, h_valid, b_valid, lane_m, lane_n = pack_lanes(pairs, 10, 15)
-    assert h_valid is None and b_valid is None
-    out = comb_lockstep(a_rev, b_codes, None, None, lane_m, lane_n, want="kernels")
+    a_rev, b_codes, lane_m, lane_n = pack_lanes(pairs, 10, 15)
+    out = comb_lockstep(a_rev, b_codes, lane_m, lane_n, want="kernels")
     for k, (ca, cb) in enumerate(pairs):
         assert np.array_equal(
             out[k, :25].astype(np.int64), iterative_combing_antidiag_simd(ca, cb)
         )
+
+
+def _sentinel_pairs(rng):
+    """Ragged lanes whose letters sit at the edges of the code dtypes."""
+    i16, i32, i64 = np.iinfo(np.int16), np.iinfo(np.int32), np.iinfo(np.int64)
+    alphabets = [
+        np.array([-3, -2, -1]),  # negative codes
+        np.array([i16.min, i16.min + 1, i16.max]),
+        np.array([i32.min, i32.min + 1, i32.max]),
+        np.array([i64.min, 0, i64.max]),  # the pads must leave int64's low end
+        np.array([i64.min + 2, i64.min + 3]),
+    ]
+    pairs = []
+    for alphabet in alphabets:
+        m = int(rng.integers(1, 14))
+        n = int(rng.integers(m, 20))
+        pairs.append((rng.choice(alphabet, m), rng.choice(alphabet, n)))
+    return [(ca.astype(np.int64), cb.astype(np.int64)) for ca, cb in pairs]
+
+
+@pytest.mark.parametrize(
+    "lanes",
+    [slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4), slice(4, 5), slice(None)],
+    ids=["negative", "int16", "int32", "int64-min", "int64-min-plus-2", "all"],
+)
+def test_sentinel_padding_matches_per_pair(rng, lanes):
+    """Whatever the letters, the pads are two codes no lane has and every
+    lane combs as it does alone."""
+    pairs = _sentinel_pairs(rng)[lanes]
+    dtype, pad_a, pad_b = pad_codes(pairs)
+    real = set(np.concatenate([c for pair in pairs for c in pair]).tolist())
+    assert pad_a != pad_b
+    assert pad_a not in real and pad_b not in real
+    info = np.iinfo(dtype)
+    assert all(info.min <= c <= info.max for c in real | {pad_a, pad_b})
+    M = max(ca.size for ca, _ in pairs) + 2
+    N = max(cb.size for _, cb in pairs) + 3
+    stacks = pack_lanes(pairs, M, N)
+    assert stacks[0].dtype == dtype and stacks[1].dtype == dtype
+    kernels = comb_lockstep(*stacks, want="kernels")
+    scores = comb_lockstep(*stacks, want="scores")
+    for k, (ca, cb) in enumerate(pairs):
+        expected = iterative_combing_antidiag_simd(ca, cb)
+        assert np.array_equal(kernels[k, : ca.size + cb.size].astype(np.int64), expected), k
+        assert scores[k] == repro.lcs(ca, cb), k
 
 
 def test_dirty_alloc_memory_is_fully_initialized(rng):
@@ -111,11 +155,14 @@ def test_strand_dtype_selection():
 
 def test_code_dtype_covers_extremes():
     small = [(np.array([0, 1]), np.array([2]))]
-    assert code_dtype_for(small) == np.int16
+    assert pad_codes(small)[0] == np.int16
     wide = [(np.array([0, 2**20]), np.array([1]))]
-    assert code_dtype_for(wide) == np.int32
+    assert pad_codes(wide)[0] == np.int32
     huge = [(np.array([0, 2**40]), np.array([1]))]
-    assert code_dtype_for(huge) == np.int64
+    assert pad_codes(huge)[0] == np.int64
+    # the pads sit just below the smallest letter and widen the dtype
+    assert pad_codes([(np.array([-(2**15) + 1]), np.array([5]))])[0] == np.int32
+    assert pad_codes([(np.array([7]), np.array([9]))])[1:] == (6, 5)
 
 
 def test_bad_arguments_raise(rng):

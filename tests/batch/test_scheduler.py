@@ -93,6 +93,29 @@ def test_max_lanes_splits_megabatches(rng):
     assert added == 4  # ceil(10 / 3) megabatches in the one shared bucket
 
 
+def test_megabatch_padded_to_its_own_lanes(rng):
+    """Each megabatch is padded to the largest oriented ``m`` and ``n`` of
+    its own lanes, not to its power-of-two bucket key."""
+    small = [(int(rng.integers(5, 40)), int(rng.integers(5, 40))) for _ in range(7)]
+    large = [(int(rng.integers(130, 150)), int(rng.integers(200, 250))) for _ in range(3)]
+    shapes = small + [(n, m) for m, n in large[:1]] + large[1:]  # one flipped lane
+    pairs = [
+        (rng.integers(0, 4, m).astype(np.int64), rng.integers(0, 4, n).astype(np.int64))
+        for m, n in shapes
+    ]
+    expected = sum(
+        max(min(s) for s in group) * max(max(s) for s in group) * len(group)
+        for group in (small, large)
+    )
+    before = get_metrics().get("batch.padded_cells").value
+    sched = BatchScheduler(None)
+    scores = sched.run(pairs, want="scores")
+    assert sched.last_stats["lanes"] == [len(small), len(large)]
+    assert sched.last_stats["padded"] == expected
+    assert get_metrics().get("batch.padded_cells").value - before == expected
+    assert scores == [repro.lcs(a, b) for a, b in pairs]
+
+
 def test_fallback_algorithms_match(rng):
     """The algorithms once served pair by pair agree with the lockstep comb,
     and every pair's cells are now combed in lockstep."""

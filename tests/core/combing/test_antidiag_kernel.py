@@ -2,9 +2,9 @@
 
 :func:`~repro.core.combing.iterative.comb_antidiagonals` is called
 directly on 1-D ``uint16`` and ``int64`` strands (one grid) and on 2-D
-ragged lanes with validity masks, over every anti-diagonal of grids of
-any shape — including ``m > n``, empty strings, length 1 and a unary
-alphabet.
+ragged lanes padded by :func:`~repro.batch.lockstep.pack_lanes`, over
+every anti-diagonal of grids of any shape — including ``m > n``, empty
+strings, length 1 and a unary alphabet.
 """
 
 import numpy as np
@@ -65,19 +65,24 @@ def test_one_grid_matches_rowmajor(a, b, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
-def test_masked_lanes_match_rowmajor(dtype):
+def test_padded_lanes_match_rowmajor(dtype):
+    """Ragged lanes need no mask: every padding cell holds a letter no
+    lane has, so no padding strand ever leaves its own track."""
     pairs = [(encode(a), encode(b)) for a, b in CASES]
     M = max(ca.size for ca, _ in pairs)
     N = max(cb.size for _, cb in pairs)
-    a_rev, b_codes, h_valid, b_valid, lane_m, lane_n = pack_lanes(pairs, M, N)
-    assert h_valid is not None  # ragged lanes
-    # padding that matches real letters: only the masks keep it from swapping
-    a_rev[~h_valid] = b_codes[~b_valid] = encode("a")[0]
+    a_rev, b_codes, lane_m, lane_n = pack_lanes(pairs, M, N)
     B = len(pairs)
     h = np.repeat(np.arange(M, dtype=dtype)[:, None], B, axis=1)
     v = np.repeat(np.arange(M, M + N, dtype=dtype)[:, None], B, axis=1)
-    comb_antidiagonals(a_rev, b_codes, h, v, _antidiag_ranges(M, N), h_valid, b_valid)
+    comb_antidiagonals(a_rev, b_codes, h, v, _antidiag_ranges(M, N))
     kernels = _lane_kernels(h, v, lane_m, lane_n, M, N)
     for k, (a, b) in enumerate(CASES):
         got = kernels[k, : len(a) + len(b)].astype(np.int64)
         assert np.array_equal(got, iterative_combing_rowmajor(a, b)), (a, b)
+        # padding rows are h's first M - m tracks, padding columns v's
+        # tracks from n on: each still holds its start id
+        rows = np.arange(M - len(a))
+        cols = np.arange(len(b), N)
+        assert np.array_equal(h[rows, k], rows), (a, b)
+        assert np.array_equal(v[cols, k], M + cols), (a, b)

@@ -93,7 +93,7 @@ class TestEndToEndAtShrunkenLimit:
             assert lockstep_strand_dtype(36, 40) == dt, limit
             seen.clear()
             assert np.array_equal(it.iterative_combing_antidiag_simd(a, b), want), limit
-            # one ragged lane exercises the validity masks
+            # one ragged lane exercises the padding
             stacks = pack_lanes([(a, b), (short_a, short_b)], 36, 40)
             got = comb_lockstep(*stacks)
             assert np.array_equal(got[0].astype(np.int64), want), limit

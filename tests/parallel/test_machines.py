@@ -1,12 +1,21 @@
 """Tests for the serial / thread / process machines."""
 
+import glob
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.errors import BackendError, TaskTimeoutError
-from repro.parallel import Machine, ProcessMachine, SerialMachine, SimulatedMachine, ThreadMachine
+from repro.parallel import (
+    Machine,
+    ProcessMachine,
+    SerialMachine,
+    SimulatedMachine,
+    ThreadMachine,
+    shared_memory_available,
+)
 
 
 def _square(x):
@@ -116,6 +125,28 @@ class TestProcessMachineFailureSemantics:
                 )
             assert info.value.task_index == 2
 
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+    def test_close_after_timeout_terminates_the_late_task(self):
+        """A timed-out task still holds its worker: close (and rebuild)
+        must not wait the 5 s for it, nor leave its segments behind."""
+        before = set(glob.glob("/dev/shm/repro*"))
+        m = ProcessMachine(workers=1, transport="shm")
+        try:
+            late = (_sleep_and_return, (5.0, np.arange(100_000)), {})
+            with pytest.raises(TaskTimeoutError):
+                m.run_round_arrays([late], timeout=0.2)
+            start = time.monotonic()
+            m.rebuild()
+            assert time.monotonic() - start < 1.0
+            assert m.run_round_arrays([(_square, (3,), {})]) == [9]
+            with pytest.raises(TaskTimeoutError):
+                m.run_round_arrays([late], timeout=0.2)
+        finally:
+            start = time.monotonic()
+            m.close()
+        assert time.monotonic() - start < 1.0
+        assert set(glob.glob("/dev/shm/repro*")) - before == set()
+
     def test_close_is_idempotent_and_closed_machine_errors(self):
         m = ProcessMachine(workers=1)
         m.close()
@@ -149,6 +180,18 @@ class TestThreadMachineFailureSemantics:
                 m.run_round([lambda: time.sleep(0.12) for _ in range(4)], timeout=0.25)
             # and it must trip at the deadline, not after 4 x 0.25s
             assert time.monotonic() - start < 1.0
+
+    def test_close_after_timeout_does_not_wait_for_the_late_task(self):
+        release = threading.Event()
+        m = ThreadMachine(workers=1)
+        try:
+            with pytest.raises(TaskTimeoutError):
+                m.run_round([lambda: release.wait(5)], timeout=0.1)
+            start = time.monotonic()
+            m.close()
+            assert time.monotonic() - start < 1.0
+        finally:
+            release.set()
 
     def test_close_is_idempotent(self):
         m = ThreadMachine(workers=1)
