@@ -48,7 +48,8 @@ def similarity_matrix(
 
     By default all ``k (k - 1) / 2`` pairs are scored through the batch
     engine (:func:`repro.batch.batch_lcs`) — same-bucket genomes comb in
-    lockstep and, with a *machine*, megabatches pipeline across workers.
+    lockstep and, with a *machine*, the megabatches run as one round
+    across its workers.
     Passing an explicit *lcs* scorer keeps the per-pair loop.
     """
     k = len(genomes)

@@ -14,8 +14,8 @@ scoring), that overhead can be amortized across queries instead:
   binary comber at word granularity;
 - :mod:`repro.batch.scheduler` buckets pairs by power-of-two shape,
   pads each megabatch to its own lanes, packs megabatches into
-  reusable shared-memory slabs, and pipelines rounds through a machine
-  (``submit`` round ``k + 1`` while ``k`` computes).
+  reusable shared-memory slabs, and runs them on a machine as one
+  round, one task per megabatch, largest first.
 
 The public entry points below accept raw strings or code arrays and
 return exactly what per-pair :func:`repro.semilocal_lcs` /
@@ -54,8 +54,9 @@ def batch_semilocal_lcs(
     Equivalent to ``[semilocal_lcs(a, b) for a, b in pairs]`` (every
     algorithm of :data:`repro.SEMILOCAL_ALGORITHMS` yields the same
     kernel) but dispatched through the batch engine: lockstep
-    vectorization across same-bucket pairs, shared-memory megabatches
-    and pipelined rounds when *machine* is a process machine. Returns a
+    vectorization across same-bucket pairs, and shared-memory
+    megabatches combed as one round when *machine* is a process machine
+    (the policy's ``task_timeout`` then bounds the whole batch). Returns a
     list of :class:`~repro.core.kernel.SemiLocalKernel`.
     """
     from ..core.kernel import SemiLocalKernel

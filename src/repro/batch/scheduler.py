@@ -1,7 +1,7 @@
-"""Batch scheduler: shape bucketing, megabatch packing, round pipelining.
+"""Batch scheduler: shape bucketing, megabatch packing, one round per batch.
 
 Turns an arbitrary ragged stream of string pairs into a small number of
-lockstep megabatches and keeps a machine's workers saturated:
+lockstep megabatches and runs them on a machine's workers:
 
 1. **Bucketing** — oriented pairs (``m <= n`` after an orientation flip
    recorded per lane) are grouped by the key ``(ceil_pow2(m),
@@ -12,26 +12,22 @@ lockstep megabatches and keeps a machine's workers saturated:
 2. **Megabatch packing** — each bucket is cut into megabatches of at
    most ``max_lanes`` lanes (:data:`MAX_LANES` by default), and each
    megabatch is padded to the largest ``m`` and ``n`` among its own
-   lanes, not to its key. Lane stacks are packed directly into the
-   machine's reusable shared-memory slabs
-   (:meth:`~repro.parallel.transport.SharedArena.slab`), so a steady
-   state of pipelined rounds allocates zero new segments.
-3. **Round pipelining** — megabatches are dispatched ``workers`` at a
-   time through ``submit_round_arrays`` / ``drain_round``, with
-   :data:`PIPELINE_DEPTH` = 2 rounds in flight (double buffering):
-   round ``k + 1`` is packed while round ``k`` computes. Fault and
-   chaos semantics are preserved per round: chaos injects at
-   submission, resilient recovery happens at submit or drain, and slabs
-   are recycled only after their round has fully drained.
+   lanes, not to its key. On a machine, lane stacks are packed directly
+   into the machine's reusable shared-memory slabs
+   (:meth:`~repro.parallel.transport.SharedArena.slab`), so repeated
+   batches allocate no new segments.
+3. **One round** — on a machine, the megabatches are one bulk-synchronous
+   round of independent tasks, one task per megabatch, submitted largest
+   (``M * N * lanes``) first so the executor hands the next one to
+   whichever worker frees up first. The slabs are recycled once the
+   round has returned. Without a machine, megabatches are combed
+   in-process one at a time.
 
 Every pair is combed by the lockstep kernel: the kernel ``P_{a,b}`` is
 unique, so any other comber could only change the speed.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from functools import partial
 
 import numpy as np
 
@@ -40,19 +36,14 @@ from ..core.compose import flip_kernel
 from ..obs import get_tracer, phase
 from ..obs.metrics import get_metrics
 from ..parallel.transport import (
-    machine_drain_round,
     machine_localize,
     machine_recycle_slabs,
     machine_release,
     machine_slab,
-    machine_submit_round,
+    run_array_round,
 )
 from .bitlockstep import comb_bit_lockstep, pack_bit_lanes
 from .lockstep import comb_lockstep, pack_lanes
-
-#: rounds in flight per dispatch: double buffering, which beats one
-#: round at a time on lcsbench's ``batch`` workload (DESIGN.md §3i)
-PIPELINE_DEPTH = 2
 
 #: bucket floor: pairs with a side below this share the smallest bucket
 #: of that axis. Every megabatch pays a full sweep of anti-diagonals, so
@@ -71,45 +62,6 @@ def _ceil_pow2(x: int, floor: int) -> int:
     """Smallest power of two >= max(x, floor)."""
     x = max(int(x), int(floor), 1)
     return 1 << (x - 1).bit_length() if x & (x - 1) else x
-
-
-class _Pipeline:
-    """Double-buffered in-flight round queue.
-
-    ``push`` submits a round and, when the queue is full, drains the
-    *oldest* first — so at most :data:`PIPELINE_DEPTH` rounds are ever in
-    flight and packing of the next round overlaps compute of the
-    previous ones.
-    """
-
-    def __init__(self, machine):
-        self.machine = machine
-        self._inflight: deque = deque()
-
-    def push(self, specs, finish) -> None:
-        """Submit *specs*; ``finish(results)`` runs when the round drains."""
-        while len(self._inflight) >= PIPELINE_DEPTH:
-            self._drain_one()
-        token = machine_submit_round(self.machine, specs)
-        self._inflight.append((token, finish))
-
-    def _drain_one(self) -> None:
-        token, finish = self._inflight.popleft()
-        finish(machine_drain_round(token))
-
-    def flush(self) -> None:
-        while self._inflight:
-            self._drain_one()
-
-    def abort(self) -> None:
-        """Best-effort drain on the error path so in-flight worker rounds
-        don't leak arena segments; their results are discarded."""
-        while self._inflight:
-            token, _ = self._inflight.popleft()
-            try:
-                machine_drain_round(token)
-            except Exception:
-                pass
 
 
 class BatchScheduler:
@@ -207,39 +159,28 @@ class BatchScheduler:
                 self._unpack(res, lanes, want, out)
             return
 
-        workers = max(1, getattr(self.machine, "workers", 1) or 1)
-        pipe = _Pipeline(self.machine)
+        megabatches.sort(key=lambda mb: mb[0] * mb[1] * len(mb[2]), reverse=True)
+        slabs: list[np.ndarray] = []
 
-        def finish(round_batches, round_slabs, results):
-            try:
-                for lanes, res in zip(round_batches, results):
-                    self._unpack(res, lanes, want, out)
-                    machine_release(self.machine, res)
-            finally:
-                machine_recycle_slabs(self.machine, round_slabs)
+        def alloc(shape, dtype):
+            arr = machine_slab(self.machine, shape, dtype)
+            slabs.append(arr)
+            return arr
 
         try:
-            for lo in range(0, len(megabatches), workers):
-                round_specs = []
-                round_batches = []
-                round_slabs: list[np.ndarray] = []
-
-                def alloc(shape, dtype):
-                    arr = machine_slab(self.machine, shape, dtype)
-                    round_slabs.append(arr)
-                    return arr
-
-                for M, N, lanes in megabatches[lo : lo + workers]:
-                    stacks = pack_lanes(
-                        [(cx, cy) for _, cx, cy, _ in lanes], M, N, alloc=alloc
-                    )
-                    round_specs.append((comb_lockstep, stacks, {"want": want}))
-                    round_batches.append(lanes)
-                pipe.push(round_specs, partial(finish, round_batches, round_slabs))
-            pipe.flush()
-        except BaseException:
-            pipe.abort()
-            raise
+            specs = [
+                (
+                    comb_lockstep,
+                    pack_lanes([(cx, cy) for _, cx, cy, _ in lanes], M, N, alloc=alloc),
+                    {"want": want},
+                )
+                for M, N, lanes in megabatches
+            ]
+            for (_, _, lanes), res in zip(megabatches, run_array_round(self.machine, specs)):
+                self._unpack(res, lanes, want, out)
+                machine_release(self.machine, res)
+        finally:
+            machine_recycle_slabs(self.machine, slabs)
 
     def _unpack(self, res, lanes, want, out) -> None:
         if want == "scores":
@@ -264,10 +205,11 @@ def run_bit_batches(
 ) -> np.ndarray:
     """Batched bit-parallel LCS scores for binary *code* pairs.
 
-    Pairs are bucketed by power-of-two word counts, packed to a shared
-    word count per megabatch (validity masks absorb the padding) and
-    dispatched over *machine* with the same pipelining as the lockstep
-    path. Returns the ``(len(pairs),)`` int64 scores.
+    Pairs are bucketed by power-of-two word counts and packed to a
+    shared word count per megabatch (validity masks absorb the padding).
+    On *machine* the megabatches run as one round, largest first, like
+    the lockstep path's (without slabs). Returns the ``(len(pairs),)``
+    int64 scores.
     """
     out = np.zeros(len(pairs), dtype=np.int64)
     buckets: dict[tuple[int, int], list] = {}
@@ -279,45 +221,36 @@ def run_bit_batches(
             _ceil_pow2(max(1, -(-cb.size // w)), 1),
         )
         buckets.setdefault(key, []).append((i, ca, cb))
-    megabatches = []
-    for key, lanes in sorted(buckets.items()):
+    megabatches = []  # (words_a * words_b of the key, lanes)
+    for (wa, wb), lanes in sorted(buckets.items()):
         for lo in range(0, len(lanes), max_lanes):
-            megabatches.append(lanes[lo : lo + max_lanes])
+            megabatches.append((wa * wb, lanes[lo : lo + max_lanes]))
     metrics = get_metrics()
     metrics.inc("batch.pairs", len(pairs))
     metrics.inc("batch.megabatches", len(megabatches))
     hist = metrics.histogram("batch.lanes")
-    for mb in megabatches:
-        hist.observe(len(mb))
+    for _, lanes in megabatches:
+        hist.observe(len(lanes))
 
-    def finish(round_batches, results):
-        for lanes, scores in zip(round_batches, results):
-            scores = np.asarray(machine_localize(machine, scores))
-            machine_release(machine, scores)
-            for (i, _, _), s in zip(lanes, scores):
-                out[i] = int(s)
+    def finish(lanes, scores):
+        scores = np.asarray(machine_localize(machine, scores))
+        machine_release(machine, scores)
+        for (i, _, _), s in zip(lanes, scores):
+            out[i] = int(s)
 
     with phase("batch"), get_tracer().span(
         "batch.bit_run", args={"pairs": len(pairs), "w": w}
     ):
         if machine is None:
-            for lanes in megabatches:
+            for _, lanes in megabatches:
                 stacks = pack_bit_lanes([(ca, cb) for _, ca, cb in lanes], w)
-                finish([lanes], [comb_bit_lockstep(*stacks, w=w)])
+                finish(lanes, comb_bit_lockstep(*stacks, w=w))
             return out
-        workers = max(1, getattr(machine, "workers", 1) or 1)
-        pipe = _Pipeline(machine)
-        try:
-            for lo in range(0, len(megabatches), workers):
-                round_specs = []
-                round_batches = []
-                for lanes in megabatches[lo : lo + workers]:
-                    stacks = pack_bit_lanes([(ca, cb) for _, ca, cb in lanes], w)
-                    round_specs.append((comb_bit_lockstep, stacks, {"w": w}))
-                    round_batches.append(lanes)
-                pipe.push(round_specs, partial(finish, round_batches))
-            pipe.flush()
-        except BaseException:
-            pipe.abort()
-            raise
+        megabatches.sort(key=lambda mb: mb[0] * len(mb[1]), reverse=True)
+        specs = [
+            (comb_bit_lockstep, pack_bit_lanes([(ca, cb) for _, ca, cb in lanes], w), {"w": w})
+            for _, lanes in megabatches
+        ]
+        for (_, lanes), scores in zip(megabatches, run_array_round(machine, specs)):
+            finish(lanes, scores)
     return out

@@ -797,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task timeout enforced by the fault policy",
+        help="round deadline enforced by the fault policy: on a process pool "
+        "it bounds each whole round, and each retried task gets it afresh",
     )
     p.add_argument(
         "--retries",
@@ -851,7 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Score many string pairs at once: pairs of similar shape "
             "comb in lockstep, megabatches ship through reusable shared-memory "
-            "slabs, and rounds pipeline across workers. PAIRS is a text file "
+            "slabs, and a pool combs them all as one round, one megabatch per "
+            "task, largest first. PAIRS is a text file "
             "with one TAB-separated pair per line ('-' reads stdin)."
         ),
     )
@@ -926,7 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-deadline-ms", type=float, default=None, metavar="MS",
                    help="deadline for requests that do not carry their own")
     p.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-task timeout enforced by the fault policy")
+                   help="round deadline enforced by the fault policy: on a "
+                   "process pool it bounds each whole round (a batch is one "
+                   "round), and each retried task gets it afresh")
     p.add_argument("--retries", type=int, default=2,
                    help="per-task retries after a failed round (default: 2)")
     p.add_argument("--no-degrade", action="store_true",

@@ -37,10 +37,18 @@ corner configuration     R(r, c)
 all four lo              R_lo(r, c)
 all four hi              R_hi(r, c)
 r = t(c) = t(c+1)        [col c: lo with row >= r, or hi with row <= r]
-r = t(c) > t(c+1)        R_hi(r, c) + delta(r, c)
-t(c+1) = r < t(c)        R_lo(r, c) - delta(r+1, c+1)
+r = t(c) > t(c+1)        R_hi(r, c)
+t(c+1) = r < t(c)        R_lo(r, c) + up(r, c+1)
 t(c+1) < r < t(c)        [row r: hi with col <= c]
 ======================  ==========================================
+
+``delta`` is zero at every staircase point ``(t(k), k)``: it moves by
+one per step, falls only on a step right, and a climb stops as soon as
+it is back at zero. So the ``delta(r, c)`` term of the ``r = t(c) >
+t(c+1)`` case vanishes, and ``-delta(r+1, c+1)`` of the ``t(c+1) = r <
+t(c)`` case is the up-step ``up(r, c+1)``: 1 if row ``r`` counts
+towards ``delta`` at column ``c+1`` (lo with col ``>= c+1``, or hi with
+col ``< c+1``), else 0.
 
 Each is verified against the dense (min,+) reference in
 ``tests/core/test_steady_ant.py`` over thousands of random permutations.
@@ -120,9 +128,8 @@ def combine(
     cr = col_row.tolist()
     cl = col_is_lo.tolist()
 
-    # --- the ant walk: staircase t[k] and delta at each (t[k], k) -------
+    # --- the ant walk: staircase t[k] ----------------------------------
     t = [0] * (n + 1)
-    delta_at_t = [0] * (n + 1)
     t[0] = n
     i = n
     delta = 0
@@ -140,7 +147,6 @@ def combine(
                     delta += 1
                 i = r
         t[k + 1] = i
-        delta_at_t[k + 1] = delta
 
     t_arr = np.asarray(t, dtype=np.int64)
     out = np.full(n, -1, dtype=np.int64)
@@ -169,14 +175,14 @@ def combine(
                         mixed_cols.append(c)
                 else:
                     # only the top-left corner is lo
-                    if delta_at_t[c] or ((not cl[c]) and cr[c] == r):
+                    if (not cl[c]) and cr[c] == r:
                         mixed_rows.append(r)
                         mixed_cols.append(c)
             elif r == tc1:
                 # all corners lo except bottom-right:
-                # delta(r+1, c+1) = delta(t[c+1], c+1) - up-step at row r
-                up = 1 if ((rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)) else 0
-                if (1 if (cl[c] and cr[c] == r) else 0) - (delta_at_t[c + 1] - up):
+                # -delta(r+1, c+1) is the up-step at row r
+                up = (rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)
+                if up or (cl[c] and cr[c] == r):
                     mixed_rows.append(r)
                     mixed_cols.append(c)
             else:
@@ -194,7 +200,6 @@ def combine(
 def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, cl):
     """Pure-Python combine for small orders (same logic as :func:`combine`)."""
     t = [0] * (n + 1)
-    delta_at_t = [0] * (n + 1)
     t[0] = n
     i = n
     delta = 0
@@ -210,7 +215,6 @@ def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, 
                     delta += 1
                 i = r
         t[k + 1] = i
-        delta_at_t[k + 1] = delta
 
     out = [-1] * n
     for r, c in zip(rows_lo.tolist(), lo_cols_full.tolist()):
@@ -232,11 +236,11 @@ def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, 
                     if (cr[c] >= r) if cl[c] else (cr[c] <= r):
                         out[r] = c
                 else:
-                    if delta_at_t[c] or ((not cl[c]) and cr[c] == r):
+                    if (not cl[c]) and cr[c] == r:
                         out[r] = c
             elif r == tc1:
-                up = 1 if ((rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)) else 0
-                if (1 if (cl[c] and cr[c] == r) else 0) - (delta_at_t[c + 1] - up):
+                up = (rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)
+                if up or (cl[c] and cr[c] == r):
                     out[r] = c
             else:
                 if (not rl[r]) and rc[r] <= c:

@@ -13,7 +13,7 @@ dict only grows, never rebinds entries).
 
 Cross-process collection: worker processes accumulate into their *own*
 global registry; :meth:`Metrics.snapshot` / :func:`diff_snapshots` /
-:meth:`Metrics.merge` move the per-chunk *delta* back to the parent (see
+:meth:`Metrics.merge` move the per-task *delta* back to the parent (see
 ``repro.parallel.transport.run_chunk``). Counters merge by addition,
 gauges by maximum, histograms by summing counts/sums/buckets.
 
@@ -262,7 +262,7 @@ class Metrics:
     def __init__(self) -> None:
         self._metrics: dict[str, Any] = {}
         self._lock = threading.Lock()
-        #: when True, pool-backed machines request per-chunk metric
+        #: when True, pool-backed machines request per-task metric
         #: deltas from their workers (set by ``repro.obs.observed`` for
         #: the duration of a ``--metrics-out`` run)
         self.remote_collection = False
@@ -342,13 +342,13 @@ class Metrics:
 
 
 def diff_snapshots(after: dict[str, dict], before: dict[str, dict]) -> dict[str, dict]:
-    """The per-metric delta ``after - before`` (worker-chunk accounting).
+    """The per-metric delta ``after - before`` (worker-task accounting).
 
     Counters subtract values; histograms subtract counts/sums/buckets
     (min/max keep *after*'s bounds — merge-approximate); gauges keep
     *after*'s value (max-merge absorbs them correctly). Metrics absent
     from *before* pass through whole; unchanged zero counters are
-    dropped to keep chunk payloads small.
+    dropped to keep task payloads small.
     """
     delta: dict[str, dict] = {}
     for name, a in after.items():
@@ -451,7 +451,7 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("machine.inproc_tasks", "gauge", "tasks", "parallel",
      "Tasks run by an in-process machine, harvested by collect_machine."),
     ("transport.bytes_shipped", "counter", "bytes", "parallel.transport",
-     "Serialized bytes shipped to worker processes (exact, per chunk payload)."),
+     "Serialized bytes shipped to worker processes (exact, one payload per task)."),
     ("transport.bytes_returned", "counter", "bytes", "parallel.transport",
      "Serialized bytes returned from worker processes."),
     ("transport.fallbacks", "counter", "events", "parallel.transport",

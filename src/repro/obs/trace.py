@@ -4,7 +4,7 @@ A :class:`Tracer` records *spans* — named intervals with a parent link —
 as plain dicts. Within one process, the parent is tracked per-thread
 (each thread has its own span stack). Across the ProcessMachine
 boundary, the parent ships the current context ``(trace_id, span_id)``
-inside the chunk payload; the worker seeds its tracer with it via
+inside each task's payload; the worker seeds its tracer with it via
 :meth:`Tracer.collect_remote`, records spans locally, and returns the
 raw event list, which the parent folds back in with
 :meth:`Tracer.adopt`. Worker spans keep their own ``pid`` (they render
@@ -131,7 +131,7 @@ class Tracer:
         Swaps in a fresh event buffer, enables the tracer, and seeds the
         remote parent span id; on exit, restores the previous state and
         yields the collected events (via the yielded list, filled in
-        place). Pool workers execute chunks single-threaded, so the
+        place). Pool workers execute tasks single-threaded, so the
         temporary global flip is safe.
         """
         collected: list[dict] = []

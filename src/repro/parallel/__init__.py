@@ -47,12 +47,10 @@ from .transport import (
     ArrayHandle,
     SharedArena,
     machine_broadcast,
-    machine_drain_round,
     machine_localize,
     machine_recycle_slabs,
     machine_release,
     machine_slab,
-    machine_submit_round,
     release_all_arenas,
     run_array_round,
     shared_memory_available,
@@ -124,8 +122,6 @@ __all__ = [
     "machine_broadcast",
     "machine_localize",
     "machine_release",
-    "machine_submit_round",
-    "machine_drain_round",
     "machine_slab",
     "machine_recycle_slabs",
     "run_array_round",

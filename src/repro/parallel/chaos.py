@@ -93,11 +93,10 @@ class ChaosMachine:
       allocations, forcing the degraded-to-pickle transport path;
     - ``seed`` — the deterministic fault stream.
 
-    Spec rounds (``run_round_arrays`` / ``submit_round_arrays``) ship to
-    worker processes, so faults are injected by *substituting* a
-    module-level raiser for the task's function — ``fail`` and ``crash``
-    are supported there, ``delay`` and ``abort_after`` apply to
-    in-process thunk rounds only.
+    Spec rounds (``run_round_arrays``) ship to worker processes, so
+    faults are injected by *substituting* a module-level raiser for the
+    task's function — ``fail`` and ``crash`` are supported there,
+    ``delay`` and ``abort_after`` apply to in-process thunk rounds only.
 
     ``fault_log`` records ``(execution_index, task_index, kind)`` for
     every injected fault, for determinism assertions in tests.
@@ -245,20 +244,17 @@ class ChaosMachine:
         "transport_stats",
         "bytes_shipped",
         "bytes_returned",
-        "drain_round",
         "slab",
         "recycle_slabs",
-        "reset_slabs",
     )
 
     def __getattr__(self, name):
         if name == "inner":  # guard against recursion during __init__
             raise AttributeError(name)
-        # submit_round_arrays injects at submission: the substituted
-        # raiser ships with the round and fires at drain time, exactly
-        # where a real in-flight fault would surface
-        if name in ("run_round_arrays", "submit_round_arrays"):
-            inner_fn = getattr(self.inner, name)  # AttributeError: capability absent
+        # the substituted raiser ships with the round and fires in the
+        # worker, exactly where a real in-flight fault would surface
+        if name == "run_round_arrays":
+            inner_fn = self.inner.run_round_arrays  # AttributeError: capability absent
 
             def fault_injected(specs, **kw):
                 return inner_fn([self._wrap_spec(s, i) for i, s in enumerate(specs)], **kw)

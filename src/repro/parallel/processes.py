@@ -16,11 +16,10 @@ Two transports move array data (``transport=`` constructor knob):
   to pickle transport (with a :class:`~repro.errors.TransportFallbackWarning`,
   once) when shared memory is unavailable or chaos-injected away.
 
-Either way, :meth:`run_round_arrays` submits the round in *chunks* (one
-future per chunk) to amortize executor overhead, and counts the exact
-serialized bytes shipped to (``bytes_shipped``) and returned from
-(``bytes_returned``) the workers — the counters the transport benchmark
-(`benchmarks/bench_pr3_transport.py`) compares across transports.
+Either way, :meth:`run_round_arrays` submits one future per spec, so
+the executor hands the next task to whichever worker frees up first, and
+counts the exact serialized bytes shipped to (``bytes_shipped``) and
+returned from (``bytes_returned``) the workers.
 
 Failure semantics (the contract the resilience layer builds on):
 
@@ -32,9 +31,8 @@ Failure semantics (the contract the resilience layer builds on):
   shared across the in-order waits — not per-task, which would let a
   k-task round wait k x timeout) as
   :class:`~repro.errors.TaskTimeoutError`. Both carry the failing task's
-  index, or ``None`` when the failing future is a chunk of several
-  tasks (the message names their range); genuine task exceptions
-  propagate unchanged (annotated with the task index);
+  index; genuine task exceptions propagate unchanged (annotated with the
+  task index);
 - :meth:`rebuild` replaces a broken executor with a fresh one (the
   arena and its segments survive — workers re-attach lazily);
 - :meth:`close` is idempotent, cancels queued work and unlinks every
@@ -50,9 +48,8 @@ import pickle
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,30 +64,10 @@ from ..obs import get_metrics, get_tracer
 from .api import Thunk
 from .transport import ARENA_MIN_BYTES, ArrayHandle, SharedArena, run_chunk
 
-#: specs per worker submitted as one future (executor-overhead amortization)
-CHUNKS_PER_WORKER = 2
-
-
-@dataclass
-class _PendingRound:
-    """An array round in flight between :meth:`ProcessMachine.submit_round_arrays`
-    and :meth:`ProcessMachine.drain_round`: the chunk futures, the
-    spec-offset of each chunk, the ephemeral segments to release after
-    the drain, and the accounting captured at submission."""
-
-    futures: list
-    offsets: list[int]
-    ephemerals: list[str]
-    n_specs: int
-    timeout: float | None
-    shipped: int
-    start: float
-
-
-def _chunk_sizes(n: int, chunks: int) -> list[int]:
-    chunks = max(1, min(chunks, n))
-    base, extra = divmod(n, chunks)
-    return [base + (1 if k < extra else 0) for k in range(chunks)]
+def _note_task(exc: BaseException, index: int, n_tasks: int) -> None:
+    """Annotate a task's own exception with the task that raised it."""
+    if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
+        exc.add_note(f"raised by task {index} of a {n_tasks}-task round")
 
 
 class ProcessMachine:
@@ -126,8 +103,6 @@ class ProcessMachine:
         self.tasks = 0
         self.bytes_shipped = 0
         self.bytes_returned = 0
-        self.last_round_shipped = 0
-        self.last_round_returned = 0
         self.transport_fallbacks = 0
 
     # -- transport -----------------------------------------------------
@@ -229,11 +204,6 @@ class ProcessMachine:
             if isinstance(arr, np.ndarray):
                 self._arena.recycle(arr)
 
-    def reset_slabs(self) -> None:
-        """Bulk-return every checked-out slab to the pool."""
-        if self._arena is not None:
-            self._arena.reset()
-
     def transport_stats(self) -> dict:
         """Byte counters exposing the data-movement cost of the run."""
         stats = {
@@ -241,8 +211,6 @@ class ProcessMachine:
             "transport_active": self.transport_active,
             "bytes_shipped": self.bytes_shipped,
             "bytes_returned": self.bytes_returned,
-            "last_round_shipped": self.last_round_shipped,
-            "last_round_returned": self.last_round_returned,
             "transport_fallbacks": self.transport_fallbacks,
         }
         if self._arena is not None:
@@ -256,53 +224,41 @@ class ProcessMachine:
             raise BackendError("machine is closed")
         return self._pool
 
-    def _collect(
-        self, futures: list, timeout: float | None, offsets: list[int] | None = None,
-        n_tasks: int | None = None,
-    ) -> list:
+    def _collect(self, futures: list, timeout: float | None, unpack=None) -> list:
         """Gather results in order against a single round deadline; on the
         first failure cancel every remaining future and raise a wrapped
         error that names the failing task.
 
         ``timeout`` is the budget for the *round*: the deadline is fixed
         when collection starts and shared across the in-order waits, so a
-        round of k tasks can never wait k x timeout.
-
-        Without *offsets* each future is one task. With them, future ``j``
-        is a chunk holding tasks ``offsets[j]`` up to the next offset (or
-        *n_tasks*): a failing chunk of one task reports that task's index,
-        a longer one reports ``task_index=None`` and names its task range.
+        round of k tasks can never wait k x timeout. ``unpack(i, result)``,
+        if given, turns each result into the returned value as it arrives;
+        an error it raises fails the round the same way.
         """
-        if offsets is None:
-            offsets = list(range(len(futures)))
-            n_tasks = len(futures)
-        ends = offsets[1:] + [n_tasks]
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
         try:
-            for f, first, end in zip(futures, offsets, ends):
-                index = first if end - first == 1 else None
-                what = f"task {first}" if index is not None else f"tasks {first}-{end - 1}"
+            for i, f in enumerate(futures):
                 remaining = (
                     None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
                 try:
-                    results.append(f.result(timeout=remaining))
+                    result = f.result(timeout=remaining)
                 except BrokenExecutor as exc:
                     raise WorkerCrashError(
-                        f"worker process died while executing {what}", task_index=index
+                        f"worker process died while executing task {i}", task_index=i
                     ) from exc
                 except FutureTimeoutError as exc:
                     self._overran = True
                     raise TaskTimeoutError(
-                        f"{what} result not ready within the round deadline "
+                        f"task {i} result not ready within the round deadline "
                         f"({timeout}s)",
-                        task_index=index,
+                        task_index=i,
                     ) from exc
                 except Exception as exc:
-                    if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
-                        exc.add_note(f"raised by {what} of a {n_tasks}-task round")
+                    _note_task(exc, i, len(futures))
                     raise
+                results.append(result if unpack is None else unpack(i, result))
         except BaseException:
             for f in futures:
                 f.cancel()
@@ -357,166 +313,103 @@ class ProcessMachine:
         ephemerals.append(handle.name)
         return handle
 
-    def submit_round_arrays(
-        self, specs: Sequence[tuple[Callable, tuple, dict]], *, timeout: float | None = None
-    ) -> _PendingRound:
-        """Pack and submit one array round without waiting for results.
-
-        The first half of :meth:`run_round_arrays`: array arguments are
-        packed into shared-memory handles (or left by value), the specs
-        are chunked and pickled, and one future per chunk is submitted.
-        The returned :class:`_PendingRound` must be handed to exactly one
-        :meth:`drain_round` call, which performs the wait, the unpacking
-        and all accounting. Multiple rounds may be in flight at once —
-        the double-buffered pipelining the batch engine builds on (batch
-        k+1 packs while batch k computes).
-
-        Opens no tracer span of its own: pipelined rounds interleave, so
-        worker spans re-parent under whatever span is current at
-        submission (``machine.round_arrays`` for the synchronous path,
-        the caller's span for pipelined submissions).
-        """
-        pool = self._require_pool()
-        specs = list(specs)
-        tracer = get_tracer()
-        metrics = get_metrics()
-        start = time.perf_counter()
-        shipped = 0
-        ephemerals: list[str] = []
-        try:
-            obs_req = None
-            if tracer.enabled or metrics.remote_collection:
-                obs_req = {
-                    "ctx": tracer.current_context() if tracer.enabled else None,
-                    "metrics": metrics.remote_collection,
-                }
-            arena = self._arena_or_none()
-            packed = []
-            for fn, args, kwargs in specs:
-                try:
-                    packed.append(
-                        (
-                            fn,
-                            tuple(self._pack_arg(a, arena, ephemerals) for a in args),
-                            {
-                                k: self._pack_arg(v, arena, ephemerals)
-                                for k, v in kwargs.items()
-                            },
-                        )
-                    )
-                except SharedMemoryUnavailableError as exc:
-                    self._lose_shm(exc)
-                    arena = None
-                    packed.append((fn, tuple(args), dict(kwargs)))
-            share_prefix = arena.prefix if arena is not None else None
-            futures: list = []
-            offsets: list[int] = []
-            if packed:
-                pos = 0
-                for size in _chunk_sizes(len(packed), self.workers * CHUNKS_PER_WORKER):
-                    chunk = packed[pos : pos + size]
-                    if obs_req is None:
-                        payload = pickle.dumps((chunk, share_prefix))
-                    else:
-                        payload = pickle.dumps((chunk, share_prefix, obs_req))
-                    shipped += len(payload)
-                    futures.append(pool.submit(run_chunk, payload))
-                    offsets.append(pos)
-                    pos += size
-            return _PendingRound(
-                futures, offsets, ephemerals, len(specs), timeout, shipped, start
-            )
-        except BaseException:
-            # failed submission: the drain that would normally release and
-            # account will never run — do it here so nothing leaks
-            if self._arena is not None:
-                for name in ephemerals:
-                    self._arena.release(name)
-            self.bytes_shipped += shipped
-            self.last_round_shipped = shipped
-            self._elapsed += time.perf_counter() - start
-            self.rounds += 1
-            self.tasks += len(specs)
-            metrics.inc("transport.bytes_shipped", shipped)
-            self._account_round(len(specs))
-            raise
-
-    def drain_round(self, pending: _PendingRound) -> list:
-        """Wait for a round submitted by :meth:`submit_round_arrays`,
-        unpack its results (adopting large array results as shared
-        segments) and perform the round's accounting. Each pending round
-        must be drained exactly once; the round deadline (``timeout``
-        captured at submission) starts when the drain starts."""
-        tracer = get_tracer()
-        metrics = get_metrics()
-        returned = 0
-        try:
-            raw = self._collect(
-                pending.futures, pending.timeout, pending.offsets, pending.n_specs
-            )
-            results: list[Any] = []
-            for offset, blob in zip(pending.offsets, raw):
-                returned += len(blob)
-                status, *rest = pickle.loads(blob)
-                if status == "err":
-                    local_i, exc = rest
-                    for f in pending.futures:
-                        f.cancel()
-                    if hasattr(exc, "add_note"):
-                        exc.add_note(
-                            f"raised by task {offset + local_i} of a "
-                            f"{pending.n_specs}-task round"
-                        )
-                    raise exc
-                if len(rest) > 1 and rest[1] is not None:
-                    events, delta = rest[1]
-                    if events:
-                        tracer.adopt(events)
-                    if delta:
-                        metrics.merge(delta)
-                for item in rest[0]:
-                    if isinstance(item, ArrayHandle):
-                        item = self._arena.adopt(item)
-                    results.append(item)
-            return results
-        finally:
-            if self._arena is not None:
-                for name in pending.ephemerals:
-                    self._arena.release(name)
-            self.bytes_shipped += pending.shipped
-            self.bytes_returned += returned
-            self.last_round_shipped = pending.shipped
-            self.last_round_returned = returned
-            self._elapsed += time.perf_counter() - pending.start
-            self.rounds += 1
-            self.tasks += pending.n_specs
-            metrics.inc("transport.bytes_shipped", pending.shipped)
-            metrics.inc("transport.bytes_returned", returned)
-            self._account_round(pending.n_specs)
-
     def run_round_arrays(
         self, specs: Sequence[tuple[Callable, tuple, dict]], *, timeout: float | None = None
     ) -> list:
         """One round of ``(fn, args, kwargs)`` specs with array transport.
 
         Array arguments travel as shared-memory handles (shm transport)
-        or serialized values (pickle transport / after fallback); the
-        round is submitted as chunks of specs, one future per chunk, and
-        large array results come back as adopted shared segments.
-        Synchronous composition of :meth:`submit_round_arrays` +
-        :meth:`drain_round` under one ``machine.round_arrays`` span.
+        or serialized values (pickle transport / after fallback); each
+        spec is pickled as its own payload and submitted as its own
+        future, in spec order, and large array results come back as
+        adopted shared segments. ``timeout`` (seconds) bounds the whole
+        round, as in :meth:`run_round`.
 
         When tracing is enabled (or ``--metrics-out`` requested remote
-        collection), each chunk payload carries an observability request:
-        workers record spans parented under this round's span and ship
-        back per-chunk metric deltas, which are folded into the parent's
-        tracer/registry here (see ``repro.obs``). The obs slot is absent
-        by default, so the bytes-shipped accounting of an unobserved run
-        is unchanged.
+        collection), each payload carries an observability request:
+        workers record spans parented under this round's
+        ``machine.round_arrays`` span and ship back per-task metric
+        deltas, which are folded into the parent's tracer/registry here
+        (see ``repro.obs``). The obs slot is absent by default, so the
+        bytes-shipped accounting of an unobserved run is unchanged.
         """
+        pool = self._require_pool()
         specs = list(specs)
-        with get_tracer().span("machine.round_arrays", args={"tasks": len(specs)}):
-            return self.drain_round(self.submit_round_arrays(specs, timeout=timeout))
+        tracer = get_tracer()
+        metrics = get_metrics()
+        start = time.perf_counter()
+        shipped = returned = 0
+        ephemerals: list[str] = []
+        futures: list = []
+        try:
+            with tracer.span("machine.round_arrays", args={"tasks": len(specs)}):
+                obs_req = None
+                if tracer.enabled or metrics.remote_collection:
+                    obs_req = {
+                        "ctx": tracer.current_context() if tracer.enabled else None,
+                        "metrics": metrics.remote_collection,
+                    }
+                arena = self._arena_or_none()
+                packed = []
+                for fn, args, kwargs in specs:
+                    try:
+                        packed.append(
+                            (
+                                fn,
+                                tuple(self._pack_arg(a, arena, ephemerals) for a in args),
+                                {
+                                    k: self._pack_arg(v, arena, ephemerals)
+                                    for k, v in kwargs.items()
+                                },
+                            )
+                        )
+                    except SharedMemoryUnavailableError as exc:
+                        self._lose_shm(exc)
+                        arena = None
+                        packed.append((fn, tuple(args), dict(kwargs)))
+                share_prefix = arena.prefix if arena is not None else None
+                for spec in packed:
+                    if obs_req is None:
+                        payload = pickle.dumps((spec, share_prefix))
+                    else:
+                        payload = pickle.dumps((spec, share_prefix, obs_req))
+                    shipped += len(payload)
+                    futures.append(pool.submit(run_chunk, payload))
+
+                def unpack(i: int, blob: bytes):
+                    nonlocal returned
+                    returned += len(blob)
+                    status, value, *obs = pickle.loads(blob)
+                    if status == "err":
+                        _note_task(value, i, len(specs))
+                        raise value
+                    if obs:
+                        events, delta = obs[0]
+                        if events:
+                            tracer.adopt(events)
+                        if delta:
+                            metrics.merge(delta)
+                    if isinstance(value, ArrayHandle):
+                        value = self._arena.adopt(value)
+                    return value
+
+                return self._collect(futures, timeout, unpack)
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
+        finally:
+            if self._arena is not None:
+                for name in ephemerals:
+                    self._arena.release(name)
+            self.bytes_shipped += shipped
+            self.bytes_returned += returned
+            self._elapsed += time.perf_counter() - start
+            self.rounds += 1
+            self.tasks += len(specs)
+            metrics.inc("transport.bytes_shipped", shipped)
+            metrics.inc("transport.bytes_returned", returned)
+            self._account_round(len(specs))
 
     def run_uniform_round(self, tasks):
         """Uniform rounds degrade to plain rounds on real machines (the
@@ -545,8 +438,6 @@ class ProcessMachine:
         self.tasks = 0
         self.bytes_shipped = 0
         self.bytes_returned = 0
-        self.last_round_shipped = 0
-        self.last_round_returned = 0
 
     def rebuild(self) -> None:
         """Replace the executor (e.g. after a ``BrokenProcessPool``).

@@ -8,9 +8,12 @@ machine and enforces a :class:`FaultPolicy`:
 
 - a failed round is recovered task by task, each unfinished task retried
   up to ``max_retries`` times with exponential backoff + deterministic
-  jitter;
-- per-task timeouts are enforced preemptively on pool-backed machines
-  (``supports_task_timeout``) and post hoc on in-process machines;
+  jitter (array rounds keep no completion ledger, so every task of a
+  failed array round is retried — a failed batch round is re-run
+  megabatch by megabatch);
+- timeouts are enforced preemptively on pool-backed machines
+  (``supports_task_timeout``), as the deadline of a whole round, and
+  post hoc per task on in-process machines;
 - a broken process pool is rebuilt (``inner.rebuild()``) before retrying;
 - when a round still cannot complete, execution degrades to an internal
   :class:`~repro.parallel.api.SerialMachine` for that round — emitting
@@ -63,9 +66,12 @@ from .api import SerialMachine, Thunk
 class FaultPolicy:
     """Knobs governing retry, timeout and degradation behaviour.
 
-    - ``task_timeout`` — seconds allowed per task attempt (``None`` = no
-      limit). Enforced preemptively on machines advertising
-      ``supports_task_timeout``, post hoc otherwise.
+    - ``task_timeout`` — seconds allowed per attempt (``None`` = no
+      limit). Machines advertising ``supports_task_timeout`` (the
+      process pool) enforce it preemptively as the deadline of a whole
+      round, not of each task in it: a batch on a pool is one round, so
+      it bounds the whole batch, and each retried task gets it afresh.
+      In-process machines check it post hoc on each retried task.
     - ``max_retries`` — per-task re-executions after a round fails
       (``0`` disables the per-task recovery pass entirely).
     - ``backoff_base * backoff_factor ** (attempt-1)`` — delay before
@@ -206,63 +212,6 @@ class ResilientMachine:
             done={},
         )
 
-    # -- pipelined array rounds ----------------------------------------
-
-    def submit_round_arrays(self, specs: Sequence[tuple[Callable, tuple, dict]]):
-        """Submit an array round without waiting, under the fault policy.
-
-        Returns an opaque token for :meth:`drain_round`. When the inner
-        machine cannot pipeline (no ``submit_round_arrays``) or this
-        machine has latched into serial execution, the round runs
-        synchronously and the token already carries its results. A
-        submission-time failure is recovered immediately (retry ladder,
-        then serial fallback) — the token again carries final results, so
-        fault semantics are preserved per sub-batch whichever side of the
-        pipeline the fault lands on.
-        """
-        specs = list(specs)
-        sub = getattr(self.inner, "submit_round_arrays", None)
-        if self._permanent_serial or sub is None:
-            return ("done", self.run_round_arrays(specs))
-        try:
-            if self._preemptive_timeout and self.policy.task_timeout is not None:
-                pending = sub(specs, timeout=self.policy.task_timeout)
-            else:
-                pending = sub(specs)
-        except Exception as exc:  # noqa: BLE001 — recover like a sync round
-            return ("done", self._recover_arrays(specs, exc))
-        return ("inflight", pending, specs)
-
-    def drain_round(self, token) -> list:
-        """Wait for a round submitted by :meth:`submit_round_arrays`. A
-        drain-time failure (worker crash, timeout, chaos fault shipped
-        with the round) goes through the same recovery ladder as a
-        synchronous :meth:`run_round_arrays` failure."""
-        if token[0] == "done":
-            return token[1]
-        _, pending, specs = token
-        try:
-            return self.inner.drain_round(pending)
-        except Exception as exc:  # noqa: BLE001 — any backend/task fault
-            return self._recover_arrays(specs, exc)
-
-    def _recover_arrays(self, specs, exc: Exception) -> list:
-        """Run the retry/degrade ladder for an array round that already
-        failed with *exc* (submission- or drain-side)."""
-
-        def reraise():
-            raise exc
-
-        return self._execute(
-            whole=reraise,
-            single=lambda i: self._inner_arrays([specs[i]])[0],
-            serial=lambda: self._serial.run_round(
-                [partial(fn, *args, **kwargs) for fn, args, kwargs in specs]
-            ),
-            n=len(specs),
-            done={},
-        )
-
     # -- transport surface (delegated; harmless no-ops without one) ----
 
     def slab(self, shape: tuple, dtype=None):
@@ -278,12 +227,6 @@ class ResilientMachine:
         fn = getattr(self.inner, "recycle_slabs", None)
         if fn is not None:
             fn(arrays)
-
-    def reset_slabs(self) -> None:
-        """Delegate slab pool reset to the backend (no-op without one)."""
-        fn = getattr(self.inner, "reset_slabs", None)
-        if fn is not None:
-            fn()
 
     def broadcast(self, *arrays):
         """Delegate to the backend transport; identity without one."""

@@ -18,10 +18,10 @@ the Python analogue:
   *results* as fresh segments (:func:`share_result`) that the parent
   adopts, so reduction rounds consume the previous round's outputs
   without the arrays ever crossing a pipe.
-- :func:`run_chunk` executes a *batch* of ``(fn, args, kwargs)`` specs
-  per worker task (one future per chunk) and returns the results as one
-  pickled payload, amortizing executor overhead and giving the machine
-  exact bytes-shipped accounting for both transports.
+- :func:`run_chunk` executes one pickled ``(fn, args, kwargs)`` spec per
+  worker task (one future per spec) and returns its result as one
+  pickled payload, giving the machine exact bytes-shipped accounting for
+  both transports.
 
 Lifecycle: the arena owns (or adopts) every segment it names, refcounts
 them (:meth:`SharedArena.retain` / :meth:`SharedArena.release`), and
@@ -216,10 +216,10 @@ class SharedArena:
 
         Unlike :meth:`put`, slabs are meant to be written in place, shipped
         (their views map to handles via :meth:`handle_of`), and *returned to
-        the pool* with :meth:`recycle` / :meth:`reset` instead of released —
-        a steady-state round pipeline reuses the same few segments forever
-        instead of churning one arena segment per round. Capacities are
-        rounded up to powers of two so ragged shape buckets share slabs.
+        the pool* with :meth:`recycle` instead of released — repeated
+        batches reuse the same few segments instead of churning one arena
+        segment per megabatch. Capacities are rounded up to powers of two
+        so ragged shape buckets share slabs.
 
         Slab contents are NOT zeroed on reuse; callers must fully
         initialize whatever cells they read.
@@ -256,20 +256,13 @@ class SharedArena:
 
     def recycle(self, arr: np.ndarray) -> bool:
         """Return the slab backing *arr* to the free pool. Safe to call
-        only once no in-flight round still reads the slab. Returns whether
-        *arr* was slab-backed (no-op, ``False`` otherwise)."""
+        only once no round still reads the slab. Returns whether *arr*
+        was slab-backed (no-op, ``False`` otherwise)."""
         handle = self.handle_of(arr) if isinstance(arr, np.ndarray) else None
         if handle is None or handle.name not in self._slab_used:
             return False
         self._slab_free[handle.name] = self._slab_used.pop(handle.name)
         return True
-
-    def reset(self) -> None:
-        """Return every checked-out slab to the free pool (round-boundary
-        bulk recycle). Segments stay allocated and mapped — only their
-        availability changes; :meth:`close` still unlinks them."""
-        self._slab_free.update(self._slab_used)
-        self._slab_used.clear()
 
     # -- handle mapping ------------------------------------------------
 
@@ -472,54 +465,46 @@ def share_result(arr: np.ndarray, prefix: str) -> ArrayHandle:
     return handle
 
 
-def _resolve_spec(spec: tuple[Callable, tuple, dict]):
+def _run_spec(spec, share_prefix):
     fn, args, kwargs = spec
-    return fn(*[resolve(a) for a in args], **{k: resolve(v) for k, v in kwargs.items()})
-
-
-def _run_specs(specs, share_prefix):
-    out = []
-    for i, spec in enumerate(specs):
-        try:
-            result = _resolve_spec(spec)
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            return ("err", i, exc)
-        if (
-            share_prefix is not None
-            and isinstance(result, np.ndarray)
-            and result.nbytes >= SHARE_MIN_BYTES
-        ):
-            result = share_result(result, share_prefix)
-        out.append(result)
-    return ("ok", out)
+    try:
+        result = fn(*[resolve(a) for a in args], **{k: resolve(v) for k, v in kwargs.items()})
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        return ("err", exc)
+    if (
+        share_prefix is not None
+        and isinstance(result, np.ndarray)
+        and result.nbytes >= SHARE_MIN_BYTES
+    ):
+        result = share_result(result, share_prefix)
+    return ("ok", result)
 
 
 def run_chunk(payload: bytes) -> bytes:
-    """Execute one pickled chunk of specs; return one pickled payload.
+    """Execute one pickled spec; return one pickled payload.
 
-    The payload is ``(specs, share_prefix)`` or, when the parent
-    requested observability, ``(specs, share_prefix, obs_req)`` with
-    ``obs_req = {"ctx": (trace_id, span_id) | None, "metrics": bool}``.
-    Results that are large arrays are published as shared segments when
-    *share_prefix* is set (shm transport); the first failing spec
-    short-circuits the chunk and is reported with its chunk-local index
-    so the parent can attribute the round-global task index.
+    The payload is ``(spec, share_prefix)`` or, when the parent requested
+    observability, ``(spec, share_prefix, obs_req)`` with ``spec = (fn,
+    args, kwargs)`` and ``obs_req = {"ctx": (trace_id, span_id) | None,
+    "metrics": bool}``. A result that is a large array is published as a
+    shared segment when *share_prefix* is set (shm transport).
 
-    Success payloads are ``("ok", out)`` — or ``("ok", out, obs_blob)``
-    with ``obs_blob = (span_events, metrics_delta)`` when *obs_req* was
-    present, so worker spans re-parent under the submitting round and
-    worker metric deltas merge into the parent registry (see
-    ``repro.obs``). Failure payloads are always ``("err", i, exc)``.
+    Success payloads are ``("ok", result)`` — or ``("ok", result,
+    obs_blob)`` with ``obs_blob = (span_events, metrics_delta)`` when
+    *obs_req* was present, so the worker's ``worker.chunk`` span
+    re-parents under the submitting round and its metric delta merges
+    into the parent registry (see ``repro.obs``). Failure payloads are
+    always ``("err", exc)``; the parent names the task.
 
-    Each chunk first closes the worker's cached attachments to segments
+    Each task first closes the worker's cached attachments to segments
     the parent has unlinked since, so their pages are freed.
     """
     _drop_unlinked_attachments()
     loaded = pickle.loads(payload)
-    specs, share_prefix = loaded[0], loaded[1]
+    spec, share_prefix = loaded[0], loaded[1]
     obs_req = loaded[2] if len(loaded) > 2 else None
     if obs_req is None:
-        status = _run_specs(specs, share_prefix)
+        status = _run_spec(spec, share_prefix)
     else:
         from ..obs import diff_snapshots, get_metrics, get_tracer
 
@@ -527,8 +512,8 @@ def run_chunk(payload: bytes) -> bytes:
         metrics = get_metrics()
         before = metrics.snapshot() if obs_req.get("metrics") else None
         with tracer.collect_remote(obs_req.get("ctx")) as events:
-            with tracer.span("worker.chunk", args={"tasks": len(specs)}):
-                status = _run_specs(specs, share_prefix)
+            with tracer.span("worker.chunk"):
+                status = _run_spec(spec, share_prefix)
         delta = (
             diff_snapshots(metrics.snapshot(), before) if before is not None else None
         )
@@ -538,7 +523,7 @@ def run_chunk(payload: bytes) -> bytes:
         return pickle.dumps(status)
     except Exception:  # unpicklable exception: ship the repr
         if status[0] == "err":
-            return pickle.dumps(("err", status[1], RuntimeError(repr(status[2]))))
+            return pickle.dumps(("err", RuntimeError(repr(status[1]))))
         raise
 
 
@@ -574,33 +559,6 @@ def run_array_round(machine, specs: Sequence[tuple[Callable, tuple, dict]]) -> l
     return machine.run_round([partial(fn, *args, **kwargs) for fn, args, kwargs in specs])
 
 
-def machine_submit_round(machine, specs: Sequence[tuple[Callable, tuple, dict]]):
-    """Submit one array round without waiting for its results.
-
-    Machines with a pipelined transport (``submit_round_arrays`` /
-    ``drain_round``, i.e. :class:`~repro.parallel.processes.ProcessMachine`
-    and wrappers that delegate it) return immediately with the round in
-    flight, so the caller can pack the next round while this one computes.
-    Everything else degrades to a synchronous :func:`run_array_round`.
-
-    Returns an opaque token for :func:`machine_drain_round`.
-    """
-    specs = list(specs)
-    sub = getattr(machine, "submit_round_arrays", None)
-    if sub is None:
-        return ("done", run_array_round(machine, specs))
-    return ("pending", machine, sub(specs))
-
-
-def machine_drain_round(token) -> list:
-    """Wait for a round submitted by :func:`machine_submit_round` and
-    return its results (in spec order)."""
-    if token[0] == "done":
-        return token[1]
-    _, machine, pending = token
-    return machine.drain_round(pending)
-
-
 def machine_slab(machine, shape: tuple, dtype) -> np.ndarray:
     """A reusable scratch array from the machine's slab pool, or a plain
     local array when the machine has no shared-memory slabs. Contents are
@@ -613,8 +571,8 @@ def machine_slab(machine, shape: tuple, dtype) -> np.ndarray:
 
 def machine_recycle_slabs(machine, arrays) -> None:
     """Return slab-backed *arrays* to the machine's pool (no-op for plain
-    arrays or machines without a slab pool). Call only after every round
-    reading the slabs has been drained."""
+    arrays or machines without a slab pool). Call only once no round
+    still reads the slabs."""
     rec = getattr(machine, "recycle_slabs", None)
     if rec is not None:
         rec(arrays)

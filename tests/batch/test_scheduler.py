@@ -175,6 +175,32 @@ def test_slab_pool_reused_across_batches(rng):
         assert reuses > 0
 
 
+@needs_shm
+def test_pool_batch_is_one_round_largest_first(rng):
+    """A batch on a pool is one round of one task per megabatch, the
+    largest (``M * N * lanes``) submitted first."""
+    shapes = [(100, 120)] * 5 + [(200, 250)] * 2 + [(300, 700)]  # three buckets
+    pairs = [(rng.integers(0, 4, m), rng.integers(0, 4, n)) for m, n in shapes]
+    submitted = []
+    metrics = get_metrics()
+    with ProcessMachine(workers=2, transport="shm") as machine:
+        run = machine.run_round_arrays
+
+        def spy(specs, **kw):
+            submitted.append(
+                [a.shape[0] * b.shape[0] * a.shape[1] for _, (a, b, _, _), _ in specs]
+            )
+            return run(specs, **kw)
+
+        machine.run_round_arrays = spy
+        before = {name: metrics.get(name).value for name in ("machine.rounds", "machine.tasks")}
+        scores = batch_lcs(pairs, machine=machine)
+        assert metrics.get("machine.rounds").value - before["machine.rounds"] == 1
+        assert metrics.get("machine.tasks").value - before["machine.tasks"] == 3
+    assert submitted == [[300 * 700, 200 * 250 * 2, 100 * 120 * 5]]
+    assert list(scores) == [repro.lcs(a, b) for a, b in pairs]
+
+
 def test_pickle_process_machine_round_trip(rng):
     pairs = _pairs(rng, count=6, max_len=12)
     ref = _reference(pairs)

@@ -105,7 +105,7 @@ class TestProcessMachineFailureSemantics:
             assert info.value.task_index == 0
 
     def test_timeout_names_tasks_not_chunks(self):
-        # one worker submits a round as two chunks: specs 0-1 and 2-3
+        # one future per spec: the late fourth spec is named exactly
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
                 m.run_round_arrays(
@@ -113,9 +113,8 @@ class TestProcessMachineFailureSemantics:
                     + [(_sleep_and_return, (1.0, 3), {})],
                     timeout=0.5,
                 )
-            assert info.value.task_index is None
-            assert "tasks 2-3" in str(info.value)
-        # three specs chunk as 0-1 and 2: a one-spec chunk names its spec
+            assert info.value.task_index == 3
+            assert "task 3" in str(info.value)
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
                 m.run_round_arrays(

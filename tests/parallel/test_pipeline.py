@@ -1,10 +1,10 @@
-"""Round pipelining (submit/drain) and the SharedArena slab pool (PR 5).
+"""The batch tier's dispatch plumbing: the SharedArena slab pool and
+the one array round a batch runs as.
 
-Covers: split submit/drain equality with the synchronous path, multiple
-interleaved in-flight rounds, error attribution mid-round, the reusable
-slab pool lifecycle (best-fit reuse, recycle, reset, release purge),
-fallbacks for machines without a pipelined transport, and fault/chaos
-semantics through ResilientMachine's pipelined surface.
+Covers: the reusable slab pool lifecycle (best-fit reuse, recycle,
+release purge), the fallback for machines without a pool, array-round
+accounting and error attribution, slab-backed arguments shipping as
+handles, and chaos faults through ResilientMachine.
 """
 
 import sys
@@ -20,10 +20,8 @@ from repro.parallel import (
     ProcessMachine,
     ResilientMachine,
     SerialMachine,
-    machine_drain_round,
     machine_recycle_slabs,
     machine_slab,
-    machine_submit_round,
     shared_memory_available,
 )
 from repro.parallel.transport import SharedArena
@@ -63,18 +61,6 @@ class TestSlabPool:
         finally:
             arena.close()
 
-    def test_reset_returns_everything(self):
-        arena = SharedArena()
-        try:
-            arena.slab((10, 10), np.int64)
-            arena.slab((5,), np.bool_)
-            assert arena.stats()["slabs_used"] == 2
-            arena.reset()
-            assert arena.stats()["slabs_used"] == 0
-            assert arena.stats()["slabs_free"] == 2
-        finally:
-            arena.close()
-
     def test_release_purges_pool(self):
         arena = SharedArena()
         try:
@@ -101,43 +87,19 @@ class TestSlabPool:
         machine_recycle_slabs(SerialMachine(), [arr])  # no-op, no error
 
 
-class TestSubmitDrain:
-    def test_split_equals_synchronous(self):
-        data = [np.arange(64) + i for i in range(6)]
-        with ProcessMachine(workers=2, transport="shm") as machine:
-            specs = [(_double, (a,), {"k": 3}) for a in data]
-            sync = machine.run_round_arrays(specs)
-            pending = machine.submit_round_arrays(specs)
-            split = machine.drain_round(pending)
-        for s, p, a in zip(sync, split, data):
-            assert np.array_equal(s, a * 3)
-            assert np.array_equal(p, a * 3)
-
-    def test_two_rounds_in_flight(self):
-        with ProcessMachine(workers=2, transport="shm") as machine:
-            p1 = machine.submit_round_arrays([(_double, (np.arange(10),), {})])
-            p2 = machine.submit_round_arrays([(_double, (np.arange(5),), {"k": 4})])
-            # drain out of submission order: each round is independent
-            r2 = machine.drain_round(p2)
-            r1 = machine.drain_round(p1)
-        assert np.array_equal(r1[0], np.arange(10) * 2)
-        assert np.array_equal(r2[0], np.arange(5) * 4)
-
+class TestArrayRounds:
     def test_rounds_accounting(self):
         with ProcessMachine(workers=2, transport="shm") as machine:
-            p1 = machine.submit_round_arrays([(_double, (np.arange(4),), {})])
-            p2 = machine.submit_round_arrays([(_double, (np.arange(4),), {})])
-            machine.drain_round(p1)
-            machine.drain_round(p2)
+            machine.run_round_arrays([(_double, (np.arange(4),), {})])
+            machine.run_round_arrays([(_double, (np.arange(4),), {})])
             assert machine.rounds == 2
             assert machine.tasks == 2
 
     def test_error_carries_task_index(self):
         with ProcessMachine(workers=2, transport="shm") as machine:
             specs = [(_double, (np.arange(4),), {}), (_boom, (1,), {})]
-            pending = machine.submit_round_arrays(specs)
             with pytest.raises(RuntimeError, match="boom") as err:
-                machine.drain_round(pending)
+                machine.run_round_arrays(specs)
         if sys.version_info >= (3, 11):  # add_note exists
             notes = getattr(err.value, "__notes__", [])
             assert any("task 1" in note for note in notes)
@@ -149,35 +111,19 @@ class TestSubmitDrain:
             a[...] = 1.0
             b[...] = 2.0
             before = machine.bytes_shipped
-            pending = machine.submit_round_arrays([(_total, (a, b), {})])
-            (result,) = machine.drain_round(pending)
+            (result,) = machine.run_round_arrays([(_total, (a, b), {})])
             assert result == a.size * 3.0
             # two 4 KiB arrays travelled as compact handles, not pickles
             assert machine.bytes_shipped - before < a.nbytes
             machine.recycle_slabs([a, b])
             assert machine.transport_stats()["arena"]["slabs_free"] == 2
 
-    def test_machine_helpers_fall_back_synchronously(self):
-        machine = SerialMachine()
-        token = machine_submit_round(machine, [(_double, (np.arange(3),), {})])
-        assert token[0] == "done"
-        (result,) = machine_drain_round(token)
-        assert np.array_equal(result, np.arange(3) * 2)
 
-
-class TestResilientPipelining:
-    def test_submit_drain_passthrough(self):
-        with ProcessMachine(workers=2, transport="shm") as inner:
-            machine = ResilientMachine(inner, FaultPolicy(seed=1))
-            token = machine_submit_round(machine, [(_double, (np.arange(6),), {})])
-            assert token[0] == "pending"
-            (result,) = machine_drain_round(token)
-            assert np.array_equal(result, np.arange(6) * 2)
-
-    def test_chaos_failure_recovered_at_drain(self):
-        # chaos injects at submission; the raiser fires inside the worker
-        # at drain time, and the resilient wrapper must retry with the
-        # original (pre-chaos) specs and still return correct results
+class TestResilientArrayRounds:
+    def test_chaos_failure_recovered(self):
+        # chaos substitutes a raiser that fires inside the worker; the
+        # resilient wrapper must retry with the original (pre-chaos)
+        # specs and still return correct results
         with ProcessMachine(workers=2, transport="shm") as inner:
             chaotic = ChaosMachine(inner, fail_rate=1.0, seed=3)
             machine = ResilientMachine(
@@ -186,21 +132,12 @@ class TestResilientPipelining:
             specs = [(_double, (np.arange(8),), {"k": 5})]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                token = machine_submit_round(machine, specs)
-                (result,) = machine_drain_round(token)
+                (result,) = machine.run_round_arrays(specs)
         assert np.array_equal(result, np.arange(8) * 5)
 
     def test_chaos_without_recovery_raises(self):
         with ProcessMachine(workers=2, transport="shm") as inner:
             chaotic = ChaosMachine(inner, fail_rate=1.0, seed=7)
             specs = [(_double, (np.arange(4),), {})]
-            token = machine_submit_round(chaotic, specs)
             with pytest.raises(ChaosError):
-                machine_drain_round(token)
-
-    def test_serial_chaos_has_no_pipeline_surface(self):
-        # ChaosMachine(SerialMachine) exposes no submit_round_arrays, so
-        # the helper falls back to a synchronous "done" token
-        chaotic = ChaosMachine(SerialMachine(), fail_rate=0.0, seed=0)
-        token = machine_submit_round(chaotic, [(_double, (np.arange(3),), {})])
-        assert token[0] == "done"
+                chaotic.run_round_arrays(specs)

@@ -214,6 +214,24 @@ class TestProcessTransport:
             assert np.array_equal(np.concatenate(out), x * 2)
             assert m.transport_stats()["bytes_shipped"] > x.nbytes
 
+    def test_grid_shm_moves_fewer_bytes_than_pickle(self):
+        # one grid call per transport; four leaves make a compose level
+        from repro.core.combing.iterative import iterative_combing_antidiag_simd
+        from repro.core.combing.parallel import parallel_hybrid_combing_grid
+
+        rng = np.random.default_rng(2021)
+        a, b = rng.integers(0, 4, 2048), rng.integers(0, 4, 2048)
+        oracle = iterative_combing_antidiag_simd(a, b)
+        stats = {}
+        for transport in ("pickle", "shm"):
+            with ProcessMachine(workers=2, transport=transport) as m:
+                kernel = parallel_hybrid_combing_grid(a, b, m, n_tasks=4)
+                stats[transport] = m.transport_stats()
+            assert np.array_equal(kernel, oracle)
+        assert stats["shm"]["transport_active"] == "shm"
+        assert stats["shm"]["bytes_shipped"] < stats["pickle"]["bytes_shipped"]
+        assert stats["shm"]["bytes_returned"] < stats["pickle"]["bytes_returned"]
+
     def test_invalid_transport_rejected(self):
         from repro.errors import BackendError
 
