@@ -15,10 +15,9 @@ work. This package provides the persistence-and-recovery layer:
   ledger (grid topology + completed leaf/merge nodes);
 - :class:`~repro.checkpoint.grid.GridCheckpointer` — the ``checkpoint=``
   hook accepted by ``hybrid_combing_grid`` and
-  ``parallel_hybrid_combing_grid``; with
-  :class:`~repro.checkpoint.grid.CheckpointedThunk` it also lets
-  :class:`~repro.parallel.resilient.ResilientMachine` recover completed
-  tasks from disk after a pool rebuild;
+  ``parallel_hybrid_combing_grid``; it wraps each grid node's task so
+  the task returns the stored kernel or persists the one it computes,
+  which also makes a retried task read back what it already committed;
 - :func:`~repro.checkpoint.signals.flush_on_signals` — SIGINT/SIGTERM
   handlers that flush in-flight bookkeeping before exit.
 
@@ -29,12 +28,7 @@ the durability model.
 
 from __future__ import annotations
 
-from .grid import (
-    DEFAULT_COMPOSE_MIN_ORDER,
-    GRID_ALGORITHM,
-    CheckpointedThunk,
-    GridCheckpointer,
-)
+from .grid import DEFAULT_COMPOSE_MIN_ORDER, GRID_ALGORITHM, GridCheckpointer
 from .journal import RunJournal, load_journal
 from .signals import cleanup_on_signals, flush_on_signals
 from .store import STORE_VERSION, KernelStore, kernel_key
@@ -46,7 +40,6 @@ __all__ = [
     "RunJournal",
     "load_journal",
     "GridCheckpointer",
-    "CheckpointedThunk",
     "GRID_ALGORITHM",
     "DEFAULT_COMPOSE_MIN_ORDER",
     "flush_on_signals",

@@ -1,32 +1,33 @@
-"""Checkpoint hooks for grid combing (paper Listing 7).
+"""Checkpointing for grid combing (paper Listing 7).
 
 :class:`GridCheckpointer` is the object that
 :func:`repro.core.combing.hybrid.hybrid_combing_grid` and
 :func:`repro.core.combing.parallel.parallel_hybrid_combing_grid` accept
 via their ``checkpoint=`` parameter. It content-addresses every grid
-node — leaves *and* reduction-tree composes above a size threshold — by
-the slices of ``a`` and ``b`` the node covers, so:
+node — leaves, the root *and* reduction-tree composes above a size
+threshold — by the slices of ``a`` and ``b`` the node covers, so:
 
-- a leaf (or large compose) checkpoints the moment it finishes;
+- a node persists itself from inside its own task:
+  :meth:`GridCheckpointer.node` wraps the node's ``(fn, args)`` spec in
+  :func:`run_node`, which returns the verified stored kernel or computes
+  the kernel and persists it. The wrapped spec pickles, so a process
+  pool ships it like any other spec, and a retried task reads what its
+  first attempt committed instead of recomputing it;
 - a resumed run recomputes keys from its inputs and hits the store for
   every node a previous (crashed) process completed, in any order —
   resume needs no coordination beyond the filesystem;
 - corrupt artifacts are discarded and recomputed
   (:meth:`KernelStore.get_or_compute`), never trusted.
 
-``resume=False`` gives fresh-run semantics: pre-existing artifacts are
-ignored (not read) but every completed node is still persisted.
-
-:class:`CheckpointedThunk` wraps a leaf/compose computation for the
-machine-parameterized parallel path. It persists its result from inside
-the task and exposes :meth:`CheckpointedThunk.recover`, which
-:class:`~repro.parallel.resilient.ResilientMachine` calls during round
-recovery — so after a worker-pool crash and rebuild, tasks that already
-persisted are re-read from the on-disk ledger instead of recomputed.
+``resume=False`` gives fresh-run semantics: :meth:`GridCheckpointer.node`
+discards each node's old artifact before the node's task is submitted,
+so the run reads only artifacts it wrote itself, and every persisted
+node is computed and written again.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,8 @@ from ..types import PermArray
 from .journal import RunJournal, make_header
 from .store import STORE_VERSION, KernelStore
 
-#: Default grid algorithm label used in artifact keys (the paper §5 name
-#: of Listing 7).
+#: Grid algorithm label used in artifact keys (the paper §5 name of
+#: Listing 7).
 GRID_ALGORITHM = "semi_hybrid_iterative"
 
 #: Composes whose kernel order (m + n of the merged node) is below this
@@ -45,47 +46,16 @@ GRID_ALGORITHM = "semi_hybrid_iterative"
 DEFAULT_COMPOSE_MIN_ORDER = 512
 
 
-class CheckpointedThunk:
-    """A task whose result is durably persisted when it completes."""
+def run_node(
+    store: KernelStore, key: str, algorithm: str, m: int, n: int,
+    fn: Callable[..., PermArray], *args,
+) -> PermArray:
+    """A checkpointed grid task: the verified kernel stored under *key*,
+    else ``fn(*args)``, persisted under *key* before it is returned.
 
-    def __init__(
-        self,
-        store: KernelStore,
-        key: str,
-        compute: Callable[[], PermArray],
-        *,
-        algorithm: str,
-        m: int,
-        n: int,
-        read: bool = True,
-    ):
-        self.store = store
-        self.key = key
-        self.compute = compute
-        self.algorithm = algorithm
-        self.m = m
-        self.n = n
-        self.read = read
-
-    def __call__(self) -> PermArray:
-        return self.store.get_or_compute(
-            self.key, self.compute, algorithm=self.algorithm, m=self.m, n=self.n,
-            read=self.read,
-        )
-
-    def recover(self) -> PermArray | None:
-        """Re-read this task's result from the durable ledger; ``None``
-        when it was never persisted (or failed verification — counted
-        and discarded, the caller recomputes).
-
-        Always reads, even with ``read=False``: after a mid-run crash
-        the artifact was written by *this* run, so reusing it preserves
-        fresh-run semantics."""
-        try:
-            return self.store.get(self.key)
-        except CheckpointCorruptionError:
-            self.store.discard(self.key)
-            return None
+    Module-level, so it pickles as a spec; the arrays in *args* stay
+    top-level arguments that a transport can ship as handles."""
+    return store.get_or_compute(key, partial(fn, *args), algorithm=algorithm, m=m, n=n)
 
 
 class GridCheckpointer:
@@ -100,16 +70,12 @@ class GridCheckpointer:
         self,
         store: KernelStore,
         *,
-        algorithm: str = GRID_ALGORITHM,
         resume: bool = True,
         compose_min_order: int = DEFAULT_COMPOSE_MIN_ORDER,
-        keep_journal: bool = True,
     ):
         self.store = store
-        self.algorithm = algorithm
         self.resume = resume
         self.compose_min_order = compose_min_order
-        self.keep_journal = keep_journal
         self.journal: RunJournal | None = None
         self.root_key: str | None = None
 
@@ -121,21 +87,20 @@ class GridCheckpointer:
         """Open (or resume) the run's journal. Returns the finished root
         kernel when a previous run already completed this exact problem —
         the caller returns it immediately."""
-        self.root_key = self.store.key(ca, cb, self.algorithm)
-        if self.keep_journal:
-            header = make_header(
-                self.root_key,
-                m=ca.size,
-                n=cb.size,
-                a_lens=a_lens,
-                b_lens=b_lens,
-                algorithm=self.algorithm,
-                version=STORE_VERSION,
-            )
-            path = self.store.journal_path(self.root_key[:32])
-            if not self.resume:
-                path.unlink(missing_ok=True)
-            self.journal = RunJournal(path, header)
+        self.root_key = self.store.key(ca, cb, GRID_ALGORITHM)
+        header = make_header(
+            self.root_key,
+            m=ca.size,
+            n=cb.size,
+            a_lens=a_lens,
+            b_lens=b_lens,
+            algorithm=GRID_ALGORITHM,
+            version=STORE_VERSION,
+        )
+        path = self.store.journal_path(self.root_key[:32])
+        if not self.resume:
+            path.unlink(missing_ok=True)
+        self.journal = RunJournal(path, header)
         if self.resume:
             try:
                 root = self.store.get(self.root_key)
@@ -143,29 +108,17 @@ class GridCheckpointer:
                 self.store.discard(self.root_key)
             else:
                 if root is not None:
-                    if self.journal is not None:
-                        self.journal.record_done(self.root_key)
-                        self.journal.close()
+                    self.finish()
                     return root
         return None
 
-    def finish(self, ca: np.ndarray, cb: np.ndarray, perm: PermArray) -> None:
-        """Persist the root kernel (a fully-complete run resumes as one
-        store hit), mark the journal done, and flush everything."""
+    def finish(self) -> None:
+        """Mark the journal done and close it. The root kernel persisted
+        from its own task (:meth:`node` always persists the root), so a
+        fully complete run resumes as one store hit."""
         assert self.root_key is not None, "finish() before begin()"
-        have_root = False
-        if self.resume:
-            try:
-                have_root = self.store.get(self.root_key) is not None
-            except CheckpointCorruptionError:
-                self.store.discard(self.root_key)
-        if not have_root:
-            self.store.put(
-                self.root_key, perm, algorithm=self.algorithm, m=ca.size, n=cb.size
-            )
-        if self.journal is not None:
-            self.journal.record_done(self.root_key)
-            self.journal.close()
+        self.journal.record_done(self.root_key)
+        self.journal.close()
 
     def flush(self) -> None:
         """Make all in-flight bookkeeping durable (store writes already
@@ -173,78 +126,35 @@ class GridCheckpointer:
         if self.journal is not None:
             self.journal.flush()
 
-    # -- node hooks (serial grid) --------------------------------------
+    # -- nodes ---------------------------------------------------------
 
-    def leaf(
-        self, i: int, j: int, ca_blk: np.ndarray, cb_blk: np.ndarray,
-        compute: Callable[[], PermArray],
-    ) -> PermArray:
-        """Compute (or resume) grid leaf ``(i, j)`` and persist it.
+    def node(
+        self, fn: Callable[..., PermArray], args: tuple,
+        ca_slice: np.ndarray, cb_slice: np.ndarray, *, leaf: bool,
+    ) -> tuple[Callable[..., PermArray], tuple, str | None]:
+        """Wrap the task ``fn(*args)`` of the grid node that covers
+        *ca_slice* x *cb_slice*; call after :meth:`begin`.
 
-        *ca_blk*/*cb_blk* are the encoded sub-strings of the block;
-        *compute* is the bare combing. The result commits to the store
-        the moment it exists and the journal records the node."""
-        key = self.store.key(ca_blk, cb_blk, self.algorithm)
-        perm = self.store.get_or_compute(
-            key, compute, algorithm=self.algorithm, m=ca_blk.size, n=cb_blk.size,
-            read=self.resume,
-        )
-        if self.journal is not None:
-            self.journal.record_leaf(i, j, key)
-        return perm
-
-    def compose(
-        self, level: int, index: int, ca_slice: np.ndarray, cb_slice: np.ndarray,
-        compute: Callable[[], PermArray],
-    ) -> PermArray:
-        """Compute (or resume) reduction node *index* of *level*.
-
-        Nodes whose kernel order ``m + n`` is below
-        ``compose_min_order`` are recomputed rather than persisted
-        (cheaper than the disk round-trip)."""
-        if ca_slice.size + cb_slice.size < self.compose_min_order:
-            return compute()
-        key = self.store.key(ca_slice, cb_slice, self.algorithm)
-        perm = self.store.get_or_compute(
-            key, compute, algorithm=self.algorithm, m=ca_slice.size, n=cb_slice.size,
-            read=self.resume,
-        )
-        if self.journal is not None:
-            self.journal.record_compose(level, index, key)
-        return perm
-
-    # -- node hooks (parallel grid) ------------------------------------
-
-    def leaf_thunk(
-        self, ca_blk: np.ndarray, cb_blk: np.ndarray, compute: Callable[[], PermArray]
-    ) -> CheckpointedThunk:
-        """Wrap a leaf computation for submission to a parallel machine;
-        the thunk persists its own result as it completes (the
-        coordinating thread records the journal entry afterwards via
-        :meth:`record_leaf`)."""
-        return CheckpointedThunk(
-            self.store, self.store.key(ca_blk, cb_blk, self.algorithm), compute,
-            algorithm=self.algorithm, m=ca_blk.size, n=cb_blk.size, read=self.resume,
-        )
-
-    def compose_thunk(
-        self, ca_slice: np.ndarray, cb_slice: np.ndarray, compute: Callable[[], PermArray]
-    ) -> CheckpointedThunk | None:
-        """``None`` when the node is below the persistence threshold —
-        the caller submits the bare computation."""
-        if ca_slice.size + cb_slice.size < self.compose_min_order:
-            return None
-        return CheckpointedThunk(
-            self.store, self.store.key(ca_slice, cb_slice, self.algorithm), compute,
-            algorithm=self.algorithm, m=ca_slice.size, n=cb_slice.size, read=self.resume,
-        )
+        Returns ``(task, task_args, key)``: :func:`run_node` over the
+        node's store key, or, for a reduction compose whose order
+        ``m + n`` is below ``compose_min_order`` (cheaper to recompute
+        than to persist), ``(fn, args, None)`` unchanged. Leaves and the
+        root always persist. Under ``resume=False`` the node's old
+        artifact is discarded here, before the task runs, so the task
+        reads only what this run commits (a retried task reads its own
+        first attempt's kernel)."""
+        m, n = ca_slice.size, cb_slice.size
+        key = self.store.key(ca_slice, cb_slice, GRID_ALGORITHM)
+        if not leaf and key != self.root_key and m + n < self.compose_min_order:
+            return fn, args, None
+        if not self.resume:
+            self.store.discard(key)
+        return run_node, (self.store, key, GRID_ALGORITHM, m, n, fn, *args), key
 
     def record_leaf(self, i: int, j: int, key: str) -> None:
         """Journal leaf ``(i, j)`` as complete (coordinating thread only)."""
-        if self.journal is not None:
-            self.journal.record_leaf(i, j, key)
+        self.journal.record_leaf(i, j, key)
 
     def record_compose(self, level: int, index: int, key: str) -> None:
         """Journal reduction node ``(level, index)`` as complete."""
-        if self.journal is not None:
-            self.journal.record_compose(level, index, key)
+        self.journal.record_compose(level, index, key)

@@ -179,8 +179,8 @@ class KernelStore:
         self.writes = 0
         self.evictions = 0
 
-    # stores are shipped to worker processes inside checkpointed thunks;
-    # the lock is per-process state
+    # stores are shipped to worker processes inside checkpointed grid
+    # specs (repro.checkpoint.grid.run_node); the lock is per-process state
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
@@ -462,21 +462,22 @@ class KernelStore:
         algorithm: str,
         m: int,
         n: int,
-        read: bool = True,
     ) -> PermArray:
-        """The store's one-stop policy: verified hit, else recompute.
+        """The store's one-stop policy: the verified kernel under *key*,
+        else ``compute()``, persisted under *key* before it is returned.
 
         A corrupt artifact is discarded and recomputed — the corruption
-        is *counted* but never propagated as a wrong kernel. ``read=False``
-        skips the lookup (fresh-run semantics) but still persists."""
-        if read:
-            try:
-                cached = self.get(key)
-            except CheckpointCorruptionError:
-                self.discard(key)
-                cached = None
-            if cached is not None:
-                return cached
+        is *counted* but never propagated as a wrong kernel. Checkpointed
+        grid tasks run through here (:func:`repro.checkpoint.grid.run_node`);
+        a fresh run discards each node's old artifact before the node's
+        task runs, so the lookup finds only what that run committed."""
+        try:
+            cached = self.get(key)
+        except CheckpointCorruptionError:
+            self.discard(key)
+            cached = None
+        if cached is not None:
+            return cached
         perm = compute()
         self.put(key, perm, algorithm=algorithm, m=m, n=n)
         return perm

@@ -52,19 +52,38 @@ import sys
 
 
 def _make_checkpointer(args):
-    """Build the (store, checkpointer) pair for --checkpoint-dir runs."""
+    """Build the checkpointer for --checkpoint-dir runs."""
     from .checkpoint import GridCheckpointer, KernelStore
 
-    store = KernelStore(args.checkpoint_dir)
-    return store, GridCheckpointer(store, resume=args.resume)
+    return GridCheckpointer(KernelStore(args.checkpoint_dir), resume=args.resume)
 
 
-def _print_checkpoint_stats(store, machine=None) -> None:
-    stats = store.stats()
-    print(
-        "checkpoint: "
-        + ", ".join(f"{k}={stats[k]}" for k in ("hits", "misses", "corrupt", "writes"))
-    )
+def _run_checkpointed(ckpt, grid, *args):
+    """Run ``grid(*args, checkpoint=ckpt)`` with SIGINT/SIGTERM flushing
+    *ckpt*, then print the store work the run did as one ``checkpoint:``
+    line: the deltas of the ``checkpoint.*`` counters.
+
+    Remote metric collection is on for the call, so a process pool's
+    workers ship their counts home with each task's result. Counts from
+    the tasks of a round that failed are lost."""
+    from .checkpoint import flush_on_signals
+    from .obs import get_metrics
+
+    metrics = get_metrics()
+    names = ("hits", "misses", "corrupt", "writes")
+    before = [metrics.get(f"checkpoint.{k}").value for k in names]
+    prev_remote = metrics.remote_collection
+    metrics.remote_collection = True
+    try:
+        with flush_on_signals(ckpt):
+            perm = grid(*args, checkpoint=ckpt)
+    finally:
+        metrics.remote_collection = prev_remote
+    after = [metrics.get(f"checkpoint.{k}").value for k in names]
+    print("checkpoint: " + ", ".join(
+        f"{k}={b - a}" for k, a, b in zip(names, before, after)
+    ))
+    return perm
 
 
 def _cmd_lcs(args) -> int:
@@ -84,7 +103,6 @@ def _cmd_semilocal(args) -> int:
 
     if args.checkpoint_dir:
         from .alphabet import encode
-        from .checkpoint import flush_on_signals
         from .core.combing.hybrid import hybrid_combing_grid
         from .core.kernel import SemiLocalKernel
         from .errors import ReproError
@@ -95,12 +113,10 @@ def _cmd_semilocal(args) -> int:
                 "(--algorithm semi_hybrid_iterative); "
                 f"got {args.algorithm!r}"
             )
-        store, ckpt = _make_checkpointer(args)
+        ckpt = _make_checkpointer(args)
         ca, cb = encode(args.a), encode(args.b)
-        with flush_on_signals(ckpt):
-            perm = hybrid_combing_grid(ca, cb, checkpoint=ckpt)
+        perm = _run_checkpointed(ckpt, hybrid_combing_grid, ca, cb)
         k = SemiLocalKernel(perm, ca.size, cb.size, validate=False)
-        _print_checkpoint_stats(store)
     else:
         k = semilocal_lcs(args.a, args.b, algorithm=args.algorithm)
     print(f"kernel order: {k.m + k.n} (m={k.m}, n={k.n})")
@@ -217,14 +233,14 @@ def _cmd_parallel(args) -> int:
             "shm_loss_after": args.chaos_shm_loss_after,
             "seed": args.seed,
         }
-    store = ckpt = None
+    ckpt = None
     if args.checkpoint_dir:
         if args.algorithm != "hybrid":
             raise ReproError(
                 "--checkpoint-dir only supports the grid algorithm "
                 f"(--algorithm hybrid); got {args.algorithm!r}"
             )
-        store, ckpt = _make_checkpointer(args)
+        ckpt = _make_checkpointer(args)
     backend_kwargs = {"transport": args.transport} if args.backend == "processes" else {}
     machine = make_machine(
         args.backend, workers=args.workers, policy=policy, chaos=chaos, **backend_kwargs
@@ -238,11 +254,9 @@ def _cmd_parallel(args) -> int:
             ca, cb = encode(args.a), encode(args.b)
             if args.algorithm == "hybrid":
                 if ckpt is not None:
-                    from .checkpoint import flush_on_signals
-
-                    with flush_on_signals(ckpt):
-                        perm = parallel_hybrid_combing_grid(ca, cb, machine, checkpoint=ckpt)
-                    _print_checkpoint_stats(store)
+                    perm = _run_checkpointed(
+                        ckpt, parallel_hybrid_combing_grid, ca, cb, machine
+                    )
                 else:
                     perm = parallel_hybrid_combing_grid(ca, cb, machine)
             elif args.algorithm == "combing":

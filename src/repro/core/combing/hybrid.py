@@ -21,7 +21,6 @@ Both return the same kernel as plain iterative combing (property-tested).
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -281,10 +280,12 @@ def hybrid_combing_grid(
     plan op finishes, level by level, with the merged node's ``m + n``.
 
     ``checkpoint`` is an optional
-    :class:`~repro.checkpoint.grid.GridCheckpointer`: every leaf (and
-    every reduction compose above the checkpointer's size threshold) is
-    durably persisted as it completes, and a resumed run loads completed
-    nodes from disk instead of recomputing them.
+    :class:`~repro.checkpoint.grid.GridCheckpointer`: each node runs as
+    the task its :meth:`~repro.checkpoint.grid.GridCheckpointer.node`
+    returns, so every leaf, the root and every reduction compose above
+    the checkpointer's size threshold is durably persisted as it
+    completes, and a resumed run loads completed nodes from disk instead
+    of recomputing them.
 
     Observability: wrapped in the ``combing`` phase and a
     ``combing.grid`` span; sub-block combings count in
@@ -345,12 +346,13 @@ def _hybrid_combing_grid_impl(
         out = []
         for node in nodes:
             ca_blk, cb_blk = slices(node)
-            compute = partial(_leaf, ca_blk, cb_blk, blend, use_16bit)
+            fn, args = _leaf, (ca_blk, cb_blk, blend, use_16bit)
             if checkpoint is None:
-                out.append(compute())
+                out.append(fn(*args))
             else:
-                i, j = divmod(node, n_outer)
-                out.append(checkpoint.leaf(i, j, ca_blk, cb_blk, compute))
+                fn, args, key = checkpoint.node(fn, args, ca_blk, cb_blk, leaf=True)
+                out.append(fn(*args))
+                checkpoint.record_leaf(*divmod(node, n_outer), key)
             if on_leaf is not None:
                 on_leaf(ca_blk.size, cb_blk.size)
         return out
@@ -358,12 +360,15 @@ def _hybrid_combing_grid_impl(
     def run_level(level, ops, inputs):
         out = []
         for index, (op, (left, right)) in enumerate(zip(ops, inputs)):
-            compute = partial(op.compose, left, right, multiply)
             ca_sl, cb_sl = slices(op.out)
+            fn, args = op.compose, (left, right, multiply)
             if checkpoint is None:
-                out.append(compute())
+                out.append(fn(*args))
             else:
-                out.append(checkpoint.compose(level, index, ca_sl, cb_sl, compute))
+                fn, args, key = checkpoint.node(fn, args, ca_sl, cb_sl, leaf=False)
+                out.append(fn(*args))
+                if key is not None:
+                    checkpoint.record_compose(level, index, key)
             if on_compose is not None:
                 on_compose(ca_sl.size + cb_sl.size)
         return out
@@ -372,5 +377,5 @@ def _hybrid_combing_grid_impl(
     get_metrics().inc("combing.grid_leaves", n_leaves)
     root = run_grid_levels(plan, n_leaves, run_leaves, run_level)
     if checkpoint is not None:
-        checkpoint.finish(ca, cb, root)
+        checkpoint.finish()
     return root

@@ -19,8 +19,6 @@ and why the simulator is the default for thread-scaling figures).
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ...alphabet import encode
@@ -262,14 +260,12 @@ def parallel_hybrid_combing_grid(
     in-process machines run the identical partials locally.
 
     ``checkpoint`` (a :class:`~repro.checkpoint.grid.GridCheckpointer`)
-    makes the run durable: each leaf/compose task persists its kernel
-    from inside the task the moment it finishes, resumed runs load
-    completed nodes from disk, and — because the submitted tasks expose
-    ``recover()`` — a :class:`~repro.parallel.resilient.ResilientMachine`
-    recovering a failed round re-reads the on-disk ledger instead of
-    recomputing. A :class:`~repro.checkpoint.grid.CheckpointedThunk`
-    cannot ship to a worker process, so checkpointed rounds run as
-    thunks on the same level schedule.
+    makes the run durable through the same rounds: each leaf/compose
+    spec is wrapped by :meth:`~repro.checkpoint.grid.GridCheckpointer.node`
+    so the task returns its stored kernel or persists the one it
+    computes. Resumed runs load completed nodes from disk, and a task a
+    :class:`~repro.parallel.resilient.ResilientMachine` retries after it
+    committed reads its kernel back instead of recomputing it.
 
     Observability: wrapped in the ``combing`` phase and a
     ``combing.grid`` span that records the resolved ``n_tasks`` and the
@@ -324,79 +320,65 @@ def _parallel_hybrid_grid_impl(
             return finished
 
     get_metrics().inc("combing.grid_leaves", n_leaves)
-    spans = plan[1]
-    if checkpoint is not None:
-        run_leaves, run_level = _checkpointed_rounds(
-            ca, cb, machine, spans, n_outer, blend, use_16bit, multiply, checkpoint
-        )
-        result = run_grid_levels(plan, n_leaves, run_leaves, run_level)
-        result = np.asarray(result, dtype=np.int64)
-        checkpoint.finish(ca, cb, result)
-        return result
-    run_leaves, run_level = _spec_rounds(ca, cb, machine, spans, blend, use_16bit, multiply)
+    run_leaves, run_level = _spec_rounds(
+        ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint
+    )
     result = run_grid_levels(plan, n_leaves, run_leaves, run_level)
     local = machine_localize(machine, result)
     machine_release(machine, result)
+    if checkpoint is not None:
+        checkpoint.finish()
     return np.asarray(local, dtype=np.int64)
 
 
-def _spec_rounds(ca, cb, machine, spans, blend, use_16bit, multiply):
+def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint):
     """Round runners that ship grid tasks as picklable specs. Each
     round's inputs are released as soon as the round that read them
-    drains."""
+    drains. With a *checkpoint*, each spec is wrapped by
+    :meth:`~repro.checkpoint.grid.GridCheckpointer.node` (array
+    arguments stay top-level, so they still ship as handles), and the
+    journal records a round's persisted nodes once the round drains."""
     compact = bool(use_16bit)
+    spans = plan[1]
     bca, bcb = machine_broadcast(machine, ca, cb)
 
+    def run(tasks, leaf):
+        """Run ``(node, fn, args)`` *tasks* as one round; return their
+        kernels and checkpoint keys (``None`` where nothing persists)."""
+        specs, keys = [], []
+        for node, fn, args in tasks:
+            key = None
+            if checkpoint is not None:
+                a_lo, a_hi, b_lo, b_hi = spans[node]
+                fn, args, key = checkpoint.node(
+                    fn, args, ca[a_lo:a_hi], cb[b_lo:b_hi], leaf=leaf
+                )
+            specs.append((fn, args, {}))
+            keys.append(key)
+        return run_array_round(machine, specs), keys
+
     def run_leaves(nodes):
-        specs = []
+        tasks = []
         for node in nodes:
             a_lo, a_hi, b_lo, b_hi = spans[node]
             args = (bca[a_lo:a_hi], bcb[b_lo:b_hi], blend, use_16bit, compact)
-            specs.append((_grid_leaf, args, {}))
-        outs = run_array_round(machine, specs)
+            tasks.append((node, _grid_leaf, args))
+        outs, keys = run(tasks, leaf=True)
         machine_release(machine, bca, bcb)  # only leaves read the inputs
+        for node, key in zip(nodes, keys):
+            if key is not None:
+                checkpoint.record_leaf(*divmod(node, n_outer), key)
         return outs
 
     def run_level(level, ops, inputs):
-        outs = run_array_round(machine, [
-            (_grid_compose, (op, left, right, multiply, compact), {})
+        outs, keys = run([
+            (op.out, _grid_compose, (op, left, right, multiply, compact))
             for op, (left, right) in zip(ops, inputs)
-        ])
+        ], leaf=False)
         machine_release(machine, *(k for pair in inputs for k in pair))
-        return outs
-
-    return run_leaves, run_level
-
-
-def _checkpointed_rounds(ca, cb, machine, spans, n_outer, blend, use_16bit,
-                         multiply, checkpoint):
-    """Round runners whose tasks are durable thunks; the journal records
-    each round's nodes once the round drains."""
-
-    def slices(node):
-        a_lo, a_hi, b_lo, b_hi = spans[node]
-        return ca[a_lo:a_hi], cb[b_lo:b_hi]
-
-    def run_leaves(nodes):
-        thunks = []
-        for node in nodes:
-            ca_blk, cb_blk = slices(node)
-            compute = partial(_leaf, ca_blk, cb_blk, blend, use_16bit)
-            thunks.append(checkpoint.leaf_thunk(ca_blk, cb_blk, compute))
-        outs = machine.run_round(thunks)
-        for node, thunk in zip(nodes, thunks):
-            checkpoint.record_leaf(*divmod(node, n_outer), thunk.key)
-        return outs
-
-    def run_level(level, ops, inputs):
-        thunks = []
-        for op, (left, right) in zip(ops, inputs):
-            compute = partial(op.compose, left, right, multiply)
-            thunks.append(checkpoint.compose_thunk(*slices(op.out), compute) or compute)
-        outs = machine.run_round(thunks)
-        for index, thunk in enumerate(thunks):
-            if hasattr(thunk, "key"):  # persisted (above the size threshold)
-                checkpoint.record_compose(level, index, thunk.key)
+        for index, key in enumerate(keys):
+            if key is not None:
+                checkpoint.record_compose(level, index, key)
         return outs
 
     return run_leaves, run_level

@@ -509,8 +509,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Rounds that fell back to serial execution."),
     ("resilience.pool_rebuilds", "counter", "events", "parallel.resilient",
      "Broken worker pools replaced before retrying."),
-    ("resilience.durable_recoveries", "counter", "tasks", "parallel.resilient",
-     "Failed tasks recovered from the durable checkpoint ledger instead of recomputed."),
     ("chaos.injected_failures", "counter", "events", "parallel.chaos",
      "Task failures injected by ChaosMachine."),
     ("chaos.injected_crashes", "counter", "events", "parallel.chaos",

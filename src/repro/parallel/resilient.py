@@ -32,13 +32,10 @@ so even non-idempotent thunks (the in-place anti-diagonal combing
 kernels) survive injected faults without double-applying work. Tasks
 shipped to worker *processes* cannot be captured this way
 (``remote_tasks``); those call sites submit pure functions, which the
-retry path may safely re-execute.
-
-**Durable recovery.** Tasks that persist their results to disk
-(:class:`repro.checkpoint.grid.CheckpointedThunk`) expose ``recover()``;
-round recovery consults it before recomputing, so after a crash or a
-pool rebuild the machine re-reads the integrity-verified on-disk ledger
-instead of redoing committed work (counted as ``durable_recoveries``).
+retry path may safely re-execute. A checkpointed grid task
+(:func:`repro.checkpoint.grid.run_node`) persists its kernel from inside
+the task, so re-executing it after it committed reads the stored kernel
+back instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -154,13 +151,12 @@ class ResilientMachine:
         self.recovered_rounds = 0
         self.degraded_rounds = 0
         self.pool_rebuilds = 0
-        self.durable_recoveries = 0
 
     # -- protocol ------------------------------------------------------
 
     def run_round(self, thunks: Sequence[Thunk]) -> list:
-        """Run a round with retries, per-task recovery, durable recovery
-        and (policy permitting) graceful degradation to serial."""
+        """Run a round with retries, per-task recovery and (policy
+        permitting) graceful degradation to serial."""
         thunks = list(thunks)
         done: dict[int, Any] = {}
         submit = self._captured(thunks, done) if self._can_capture else thunks
@@ -170,7 +166,6 @@ class ResilientMachine:
             serial=lambda: self._serial_fill(thunks, done),
             n=len(thunks),
             done=done,
-            recover=self._durable_recovery(thunks),
         )
 
     def run_uniform_round(self, tasks: Sequence[tuple[Thunk, int]]) -> list:
@@ -188,7 +183,6 @@ class ResilientMachine:
             serial=lambda: self._serial_fill(thunks, done),
             n=len(tasks),
             done=done,
-            recover=self._durable_recovery(thunks),
         )
 
     def run_round_arrays(self, specs: Sequence[tuple[Callable, tuple, dict]]) -> list:
@@ -279,7 +273,6 @@ class ResilientMachine:
         self.recovered_rounds = 0
         self.degraded_rounds = 0
         self.pool_rebuilds = 0
-        self.durable_recoveries = 0
 
     def close(self) -> None:
         """Close the wrapped backend (if it has a ``close``).
@@ -320,7 +313,6 @@ class ResilientMachine:
             "recovered_rounds": self.recovered_rounds,
             "degraded_rounds": self.degraded_rounds,
             "pool_rebuilds": self.pool_rebuilds,
-            "durable_recoveries": self.durable_recoveries,
             "permanently_degraded": self._permanent_serial,
         }
 
@@ -332,30 +324,6 @@ class ResilientMachine:
         survive machine resets and pool rebuilds (see docs/metrics.md)."""
         setattr(self, name, getattr(self, name) + 1)
         _metric_inc(f"resilience.{name}", 1)
-
-    @staticmethod
-    def _durable_recovery(thunks: Sequence[Thunk]):
-        """Recovery hook for tasks that persist their results durably.
-
-        Checkpointed tasks (:class:`repro.checkpoint.grid.CheckpointedThunk`)
-        expose ``recover() -> result | None``, re-reading the on-disk
-        ledger. After a crash or pool rebuild, round recovery consults it
-        before recomputing — work that already committed is loaded, not
-        redone. Returns ``None`` when no task in the round is durable.
-        """
-        table = {
-            i: t.recover
-            for i, t in enumerate(thunks)
-            if callable(getattr(t, "recover", None))
-        }
-        if not table:
-            return None
-
-        def recover(i: int):
-            fn = table.get(i)
-            return fn() if fn is not None else None
-
-        return recover
 
     @staticmethod
     def _captured(thunks: Sequence[Thunk], done: dict[int, Any]) -> list[Thunk]:
@@ -394,11 +362,9 @@ class ResilientMachine:
             return self.inner.run_round_arrays(specs, timeout=self.policy.task_timeout)
         return self.inner.run_round_arrays(specs)
 
-    def _execute(self, *, whole, single, serial, n, done, unwrap=False, recover=None):
+    def _execute(self, *, whole, single, serial, n, done, unwrap=False):
         """One round: try *whole*; recover unfinished tasks via *single*;
-        degrade to *serial*. ``unwrap`` marks single-result sections.
-        ``recover(i)`` optionally re-reads task *i* from a durable ledger
-        (checkpointed tasks) before any recomputation."""
+        degrade to *serial*. ``unwrap`` marks single-result sections."""
         if self._permanent_serial:
             return serial()
         try:
@@ -413,14 +379,6 @@ class ResilientMachine:
                     for i in range(n):
                         if i in done:
                             continue
-                        if recover is not None:
-                            value = recover(i)
-                            if value is not None:
-                                # the task persisted its result before the
-                                # fault: trust the verified artifact
-                                self._bump("durable_recoveries")
-                                done[i] = value
-                                continue
                         # record retry successes in the ledger too, so a
                         # later degradation in this round skips them
                         done[i] = self._retry_task(single, i)

@@ -11,20 +11,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import GridCheckpointer, KernelStore
+from repro.checkpoint import GRID_ALGORITHM, GridCheckpointer, KernelStore
 from repro.core.combing.hybrid import hybrid_combing_grid
 from repro.core.combing.iterative import iterative_combing_rowmajor
 from repro.core.combing.parallel import parallel_hybrid_combing_grid
+from repro.obs import get_metrics
 from repro.parallel import (
     ChaosMachine,
     ChaosProcessDeath,
     FaultPolicy,
+    ProcessMachine,
     ResilientMachine,
     SerialMachine,
     ThreadMachine,
+    shared_memory_available,
 )
+from repro.parallel.transport import run_array_round
 
 from ..conftest import random_codes
+
+
+PERM = np.array([2, 0, 3, 1], dtype=np.int64)
+STALE = np.array([0, 1, 2, 3], dtype=np.int64)
+
+
+class CommitThenFailStore(KernelStore):
+    """A store whose first put commits the artifact and then raises, like
+    a worker that dies right after its write."""
+
+    failed = False
+
+    def put(self, key, perm, **kwargs):
+        super().put(key, perm, **kwargs)
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("crash after commit")
 
 
 class Interrupted(BaseException):
@@ -210,9 +231,8 @@ class TestParallelCheckpointing:
                 checkpoint=GridCheckpointer(store2, compose_min_order=0),
             )
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
-        # the crashed run's leaves and its one finished compose (finish()
-        # adds one more hit: the root compose already stored the root key)
-        assert store2.stats()["hits"] == n_leaves + 2
+        # the crashed run's leaves and its one finished compose
+        assert store2.stats()["hits"] == n_leaves + 1
 
     @settings(max_examples=10, deadline=None)
     @given(a=codes, b=codes, abort_after=st.integers(0, 20), seed=st.integers(0, 99))
@@ -248,49 +268,83 @@ class TestParallelCheckpointing:
         )
         assert np.array_equal(got, reference)
 
-    def test_durable_recovery_reads_disk_not_recompute(self, tmp_path, rng):
-        """After a failed round, ResilientMachine recovers tasks that
-        already persisted by re-reading the ledger (durable_recoveries),
-        not by re-running them."""
-        from repro.checkpoint import CheckpointedThunk
+    def test_durable_recovery_reads_disk_not_recompute(self, tmp_path):
+        """A task that commits its kernel and then fails is retried from
+        the store, not recomputed, on resumed and fresh runs alike; the
+        fresh run still ignores the artifact an earlier run left."""
+        ca = cb = np.arange(2)
+        for resume in (True, False):
+            root = tmp_path / f"resume-{resume}"
+            if not resume:  # an earlier run's artifact under the same key
+                earlier = KernelStore(root)
+                earlier.put(earlier.key(ca, cb, GRID_ALGORITHM), STALE,
+                            algorithm=GRID_ALGORITHM, m=2, n=2)
+            store = CommitThenFailStore(root)
+            ckpt = GridCheckpointer(store, resume=resume)
+            assert ckpt.begin(ca, cb, [2], [2]) is None
+            calls = []
 
-        store = KernelStore(tmp_path / "store")
-        perm = np.array([2, 0, 3, 1], dtype=np.int64)
-        key = store.key(np.arange(2), np.arange(2), "algo")
-        store.put(key, perm, algorithm="algo", m=2, n=2)
+            def compute():
+                calls.append(1)
+                return PERM
 
-        def explode():
-            raise RuntimeError("task always fails in-process")
-
-        # read=False: the thunk cannot take the cache-hit path up front,
-        # so only recover() can save it
-        thunk = CheckpointedThunk(
-            store, key, explode, algorithm="algo", m=2, n=2, read=False
-        )
-        machine = ResilientMachine(
-            SerialMachine(), FaultPolicy(max_retries=1), sleep=lambda s: None
-        )
-        (got,) = machine.run_round([thunk])
-        assert np.array_equal(got, perm)
-        assert machine.durable_recoveries == 1
+            fn, args, _ = ckpt.node(compute, (), ca, cb, leaf=True)
+            machine = ResilientMachine(
+                SerialMachine(), FaultPolicy(max_retries=1), sleep=lambda s: None
+            )
+            (got,) = run_array_round(machine, [(fn, args, {})])
+            ckpt.finish()
+            assert np.array_equal(got, PERM)
+            assert len(calls) == 1 and machine.retries == 1
+            assert store.stats()["hits"] == 1 and store.stats()["writes"] == 1
 
     def test_unpersisted_task_still_retries_normally(self, tmp_path):
-        from repro.checkpoint import CheckpointedThunk
-
+        """A task that fails before committing is computed again."""
         store = KernelStore(tmp_path / "store")
-        key = store.key(np.arange(2), np.arange(2), "algo")
+        ckpt = GridCheckpointer(store)
+        ca = cb = np.arange(2)
+        ckpt.begin(ca, cb, [2], [2])
         calls = []
 
         def flaky():
             calls.append(1)
             if len(calls) == 1:
                 raise RuntimeError("transient")
-            return np.array([2, 0, 3, 1], dtype=np.int64)
+            return PERM
 
-        thunk = CheckpointedThunk(store, key, flaky, algorithm="algo", m=2, n=2)
+        fn, args, _ = ckpt.node(flaky, (), ca, cb, leaf=True)
         machine = ResilientMachine(
             SerialMachine(), FaultPolicy(max_retries=2), sleep=lambda s: None
         )
-        (got,) = machine.run_round([thunk])
-        assert got is not None and machine.durable_recoveries == 0
+        (got,) = run_array_round(machine, [(fn, args, {})])
+        ckpt.finish()
+        assert np.array_equal(got, PERM)
         assert len(calls) == 2
+        assert store.stats()["hits"] == 0 and store.stats()["writes"] == 1
+
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+    def test_pool_crash_mid_level_recovers_from_store(self, tmp_path, rng):
+        """A worker crash inside a compose level on a real shm pool: the
+        pool is rebuilt, the round's retried node that had committed
+        comes back as a store hit in a worker, and no node is written
+        twice."""
+        a, b = random_codes(rng, 600), random_codes(rng, 600)
+        _, ckpt = checkpointer(tmp_path)
+        inner = ChaosMachine(ProcessMachine(2, transport="shm"), crash_rate=0.3, seed=10)
+        machine = ResilientMachine(inner, FaultPolicy(max_retries=2), sleep=lambda s: None)
+        metrics = get_metrics()
+        before = {k: metrics.get(f"checkpoint.{k}").value for k in ("hits", "writes")}
+        prev_remote, metrics.remote_collection = metrics.remote_collection, True
+        try:
+            with machine:
+                got = parallel_hybrid_combing_grid(a, b, machine, n_tasks=4, checkpoint=ckpt)
+        finally:
+            metrics.remote_collection = prev_remote
+        delta = {k: metrics.get(f"checkpoint.{k}").value - v for k, v in before.items()}
+        # seed 10 crashes only the sixth spec submitted: after 4 leaves,
+        # the second compose of level 1 (its first compose has committed)
+        assert inner.fault_log == [(5, 1, "crash")]
+        assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+        assert machine.pool_rebuilds >= 1
+        assert delta["hits"] >= 1
+        assert delta["writes"] <= 4 + 2 + 1  # leaves, level 1, root

@@ -1,10 +1,13 @@
 """Tests for the checkpoint-facing CLI surface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
 
 A, B = "BAABCBCA", "BAABCABCABACA"
+POOL = ["--backend", "processes", "--transport", "shm", "--workers", "2"]
 
 
 def run_semilocal(tmp_path, *extra):
@@ -43,6 +46,27 @@ class TestParallelCheckpoint:
         assert main(["parallel", A, B, "--checkpoint-dir", store]) == 0
         capsys.readouterr()
         assert main(["parallel", A, B, "--checkpoint-dir", store, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "LCS(a, b) = 8" in out
+        assert "checkpoint: hits=1, misses=0" in out
+
+    def test_pool_run_counts_worker_writes(self, tmp_path, capsys):
+        # the store work happens in the workers: the fresh run's line
+        # must count every artifact they committed
+        store = str(tmp_path / "store")
+        assert main(["parallel", A, B, *POOL, "--checkpoint-dir", store]) == 0
+        out = capsys.readouterr().out
+        assert "LCS(a, b) = 8" in out
+        writes = int(re.search(r"checkpoint: .*writes=(\d+)", out).group(1))
+        assert main(["checkpoint", "list", store]) == 0
+        listed = re.search(r"(\d+) artifact\(s\)", capsys.readouterr().out)
+        assert writes == int(listed.group(1)) == 3  # two leaves and the root
+
+    def test_pool_resume_is_one_hit(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["parallel", A, B, *POOL, "--checkpoint-dir", store]) == 0
+        capsys.readouterr()
+        assert main(["parallel", A, B, *POOL, "--checkpoint-dir", store, "--resume"]) == 0
         out = capsys.readouterr().out
         assert "LCS(a, b) = 8" in out
         assert "checkpoint: hits=1, misses=0" in out

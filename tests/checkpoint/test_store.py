@@ -83,21 +83,6 @@ class TestRoundtrip:
         assert len(calls) == 1
         assert store.stats() == {"hits": 2, "misses": 1, "corrupt": 0, "writes": 1, "evictions": 0}
 
-    def test_read_false_skips_lookup_but_persists(self, tmp_path):
-        store = KernelStore(tmp_path)
-        key = kernel_key(np.arange(2), np.arange(2), "x")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return PERM
-
-        store.get_or_compute(key, compute, algorithm="x", m=2, n=2, read=False)
-        store.get_or_compute(key, compute, algorithm="x", m=2, n=2, read=False)
-        assert len(calls) == 2
-        assert store.stats()["hits"] == 0
-        assert store.get(key) is not None
-
     def test_create_false_requires_existing_store(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             KernelStore(tmp_path / "nope", create=False)

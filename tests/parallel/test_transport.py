@@ -214,23 +214,29 @@ class TestProcessTransport:
             assert np.array_equal(np.concatenate(out), x * 2)
             assert m.transport_stats()["bytes_shipped"] > x.nbytes
 
-    def test_grid_shm_moves_fewer_bytes_than_pickle(self):
-        # one grid call per transport; four leaves make a compose level
+    def test_grid_shm_moves_fewer_bytes_than_pickle(self, tmp_path):
+        # one grid call per transport, plain and checkpointed; four
+        # leaves make a compose level
+        from repro.checkpoint import GridCheckpointer, KernelStore
         from repro.core.combing.iterative import iterative_combing_antidiag_simd
         from repro.core.combing.parallel import parallel_hybrid_combing_grid
 
         rng = np.random.default_rng(2021)
         a, b = rng.integers(0, 4, 2048), rng.integers(0, 4, 2048)
         oracle = iterative_combing_antidiag_simd(a, b)
-        stats = {}
-        for transport in ("pickle", "shm"):
-            with ProcessMachine(workers=2, transport=transport) as m:
-                kernel = parallel_hybrid_combing_grid(a, b, m, n_tasks=4)
-                stats[transport] = m.transport_stats()
-            assert np.array_equal(kernel, oracle)
-        assert stats["shm"]["transport_active"] == "shm"
-        assert stats["shm"]["bytes_shipped"] < stats["pickle"]["bytes_shipped"]
-        assert stats["shm"]["bytes_returned"] < stats["pickle"]["bytes_returned"]
+        for checkpointed in (False, True):
+            stats = {}
+            for transport in ("pickle", "shm"):
+                ckpt = None
+                if checkpointed:
+                    ckpt = GridCheckpointer(KernelStore(tmp_path / transport))
+                with ProcessMachine(workers=2, transport=transport) as m:
+                    kernel = parallel_hybrid_combing_grid(a, b, m, n_tasks=4, checkpoint=ckpt)
+                    stats[transport] = m.transport_stats()
+                assert np.array_equal(kernel, oracle)
+            assert stats["shm"]["transport_active"] == "shm"
+            for key in ("bytes_shipped", "bytes_returned"):
+                assert 0 < stats["shm"][key] < stats["pickle"][key], (checkpointed, key)
 
     def test_invalid_transport_rejected(self):
         from repro.errors import BackendError
@@ -375,6 +381,44 @@ class TestSignalCleanup:
         assert "READY" in proc.stdout, proc.stderr
         assert proc.returncode == 128 + signal.SIGTERM, (proc.returncode, proc.stderr)
         assert set(_segments()) - before == set()
+
+
+_CHECKPOINTED_THEN_PLAIN_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from repro.checkpoint import GridCheckpointer, KernelStore
+    from repro.core.combing.parallel import parallel_hybrid_combing_grid
+    from repro.parallel import ProcessMachine
+
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, 4, 2048), rng.integers(0, 4, 2048)
+    with ProcessMachine(workers=2, transport="shm") as m:
+        ckpt = GridCheckpointer(KernelStore(sys.argv[1]))
+        first = parallel_hybrid_combing_grid(a, b, m, checkpoint=ckpt)
+        second = parallel_hybrid_combing_grid(a, b, m)
+    assert np.array_equal(first, second)
+    print("DONE", flush=True)
+    """
+)
+
+
+class TestTrackerLifecycle:
+    def test_checkpointed_then_plain_grid_leaks_nothing(self, tmp_path):
+        # the pool's workers must share the parent's resource tracker: a
+        # worker that starts its own reports the parent's segments as
+        # leaked when it exits
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHECKPOINTED_THEN_PLAIN_SCRIPT, str(tmp_path / "store")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+        )
+        assert "DONE" in proc.stdout, proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 # ---------------------------------------------------------------------------
