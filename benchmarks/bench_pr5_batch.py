@@ -68,7 +68,7 @@ def _timed(fn) -> tuple[list[int], float]:
 
 def run_modes(pairs, workers: int, transport: str) -> list[dict]:
     from repro.batch import batch_lcs
-    from repro.parallel import ProcessMachine, run_array_round
+    from repro.parallel import ProcessMachine
 
     def loop_serial():
         return [_pair_score(a, b) for a, b in pairs]
@@ -81,7 +81,7 @@ def run_modes(pairs, workers: int, transport: str) -> list[dict]:
 
     with ProcessMachine(workers=workers, transport=transport) as machine:
         specs = [(_pair_score, (a, b), {}) for a, b in pairs]
-        scores, wall = _timed(lambda: run_array_round(machine, specs))
+        scores, wall = _timed(lambda: machine.run_round(specs))
         runs.append(_record("loop_processes", scores, wall, len(pairs), reference))
 
     with ProcessMachine(workers=workers, transport=transport) as machine:

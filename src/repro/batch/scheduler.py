@@ -35,13 +35,6 @@ from ..alphabet import encode
 from ..core.compose import flip_kernel
 from ..obs import get_tracer, phase
 from ..obs.metrics import get_metrics
-from ..parallel.transport import (
-    machine_localize,
-    machine_recycle_slabs,
-    machine_release,
-    machine_slab,
-    run_array_round,
-)
 from .bitlockstep import comb_bit_lockstep, pack_bit_lanes
 from .lockstep import comb_lockstep, pack_lanes
 
@@ -163,7 +156,7 @@ class BatchScheduler:
         slabs: list[np.ndarray] = []
 
         def alloc(shape, dtype):
-            arr = machine_slab(self.machine, shape, dtype)
+            arr = self.machine.slab(shape, dtype)
             slabs.append(arr)
             return arr
 
@@ -176,11 +169,11 @@ class BatchScheduler:
                 )
                 for M, N, lanes in megabatches
             ]
-            for (_, _, lanes), res in zip(megabatches, run_array_round(self.machine, specs)):
+            for (_, _, lanes), res in zip(megabatches, self.machine.run_round(specs)):
                 self._unpack(res, lanes, want, out)
-                machine_release(self.machine, res)
+                self.machine.release_arrays([res])
         finally:
-            machine_recycle_slabs(self.machine, slabs)
+            self.machine.recycle_slabs(slabs)
 
     def _unpack(self, res, lanes, want, out) -> None:
         if want == "scores":
@@ -233,9 +226,7 @@ def run_bit_batches(
         hist.observe(len(lanes))
 
     def finish(lanes, scores):
-        scores = np.asarray(machine_localize(machine, scores))
-        machine_release(machine, scores)
-        for (i, _, _), s in zip(lanes, scores):
+        for (i, _, _), s in zip(lanes, np.asarray(scores)):
             out[i] = int(s)
 
     with phase("batch"), get_tracer().span(
@@ -251,6 +242,7 @@ def run_bit_batches(
             (comb_bit_lockstep, pack_bit_lanes([(ca, cb) for _, ca, cb in lanes], w), {"w": w})
             for _, lanes in megabatches
         ]
-        for (_, lanes), scores in zip(megabatches, run_array_round(machine, specs)):
+        for (_, lanes), scores in zip(megabatches, machine.run_round(specs)):
             finish(lanes, scores)
+            machine.release_arrays([scores])
     return out

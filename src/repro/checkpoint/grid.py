@@ -118,7 +118,14 @@ class GridCheckpointer:
         fully complete run resumes as one store hit."""
         assert self.root_key is not None, "finish() before begin()"
         self.journal.record_done(self.root_key)
-        self.journal.close()
+        self.close()
+
+    def close(self) -> None:
+        """Close the run's journal without marking it done (idempotent).
+        The grid algorithms call it on every exit, so a run that raises
+        leaves no open file behind; its journal stays resumable."""
+        if self.journal is not None:
+            self.journal.close()
 
     def flush(self) -> None:
         """Make all in-flight bookkeeping durable (store writes already

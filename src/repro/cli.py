@@ -276,9 +276,8 @@ def _cmd_parallel(args) -> int:
         collect_machine(machine)
         print(f"LCS(a, b) = {k.lcs_whole()}")
         print(f"backend: {args.backend} x{machine.workers}, elapsed {machine.elapsed:.4f}s")
-        transport_stats = getattr(machine, "transport_stats", None)
-        if transport_stats is not None and args.backend == "processes":
-            stats = transport_stats()
+        if args.backend == "processes":
+            stats = machine.transport_stats()
             print(
                 f"transport: {stats.get('transport_active', args.transport)} "
                 f"(requested {stats.get('transport', args.transport)}), "
@@ -286,14 +285,10 @@ def _cmd_parallel(args) -> int:
                 f"returned {stats.get('bytes_returned', 0)} B, "
                 f"fallbacks {stats.get('transport_fallbacks', 0)}"
             )
-        health = getattr(machine, "health", None)
-        if health is not None:
-            for key, value in health().items():
-                print(f"  {key}: {value}")
+        for key, value in machine.health().items():
+            print(f"  {key}: {value}")
     finally:
-        close = getattr(machine, "close", None)
-        if close is not None:
-            close()
+        machine.close()
     return 0
 
 
@@ -349,8 +344,7 @@ def _cmd_batch(args) -> int:
                 scores = batch_lcs(pairs, machine=machine, max_lanes=args.max_lanes)
                 elapsed = time.perf_counter() - start
             # snapshot before the block exits: cleanup releases the arena
-            transport_stats = getattr(machine, "transport_stats", None)
-            stats = transport_stats() if transport_stats is not None else None
+            stats = machine.transport_stats() if machine is not None else None
         for i, score in enumerate(scores):
             print(f"{i}\t{int(score)}")
         if machine is not None:
@@ -373,9 +367,8 @@ def _cmd_batch(args) -> int:
                 file=sys.stderr,
             )
     finally:
-        close = getattr(machine, "close", None)
-        if close is not None:
-            close()
+        if machine is not None:
+            machine.close()
     return 0
 
 

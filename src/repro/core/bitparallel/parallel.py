@@ -1,12 +1,16 @@
 """Machine-parameterized bit-parallel LCS (paper Fig. 9 thread scaling).
 
 The blocks of one block-anti-diagonal are mutually independent,
-identical-cost items, so each block-anti-diagonal is one *uniform round*
-(see :meth:`repro.parallel.api.Machine.run_uniform_round`): a p-thread
-machine splits the blocks evenly and synchronizes once per round. The
-``old`` variant re-loads and writes back every word on each of the
-``2w - 1`` inner steps — the extra shared-array traffic (and, on real
-hardware, false sharing between threads) that the paper's memory-access
+identical-cost items, so each block-anti-diagonal is one round: on an
+in-process machine one task over the whole block-anti-diagonal, its
+block count as ``items`` (a p-thread machine splits the blocks evenly
+and synchronizes once per round; see
+:meth:`repro.parallel.simulator.SimulatedMachine.run_round`), on a
+process pool one task per worker over a contiguous span of blocks.
+Every machine runs the same block update, :func:`_bit_chunk`. The ``old``
+variant re-loads and writes back every word on each of the ``2w - 1``
+inner steps — the extra shared-array traffic (and, on real hardware,
+false sharing between threads) that the paper's memory-access
 optimization removes; ``new1`` and ``new2`` touch the arrays once per
 block.
 
@@ -20,12 +24,6 @@ import numpy as np
 
 from ...alphabet import encode, to_binary
 from ...obs import get_metrics, get_tracer, phase
-from ...parallel.transport import (
-    machine_broadcast,
-    machine_localize,
-    machine_release,
-    run_array_round,
-)
 from ...types import Sequenceish
 from .bitlcs import Variant, _triangle_masks
 from .words import MAX_WIDTH, WORD_DTYPE, pack_a_words, pack_b_words, popcount_words, word_mask
@@ -33,18 +31,22 @@ from .words import MAX_WIDTH, WORD_DTYPE, pack_a_words, pack_b_words, popcount_w
 _U = WORD_DTYPE
 
 
-def _bit_chunk(hv, vv, av, bv, mh, mv, variant, w):
-    """One contiguous run of blocks of a block-anti-diagonal, as a pure
-    function (shipped by spec to worker processes). Returns the updated
-    ``(h, v)`` word slices.
+def _bit_chunk(h, v, av, bv, mh, mv, variant, w):
+    """Update the words ``h`` / ``v`` of one contiguous run of blocks of a
+    block-anti-diagonal in place, and return them.
 
-    Within one round the blocks are independent, so the ``old`` variant's
-    re-gather-every-step memory pattern and plain local propagation
-    compute identical words — one body serves all three variants.
+    In-process, ``h`` and ``v`` are views of the wavefront state; a pool
+    task runs :func:`_bit_chunk_copy`. ``new1`` / ``new2`` keep the words
+    local across the ``2w - 1`` steps and write them back once; ``old``
+    gathers and scatters them on every step.
     """
     wmask = word_mask(w)
     use_new2 = variant == "new2"
+    gather_each_step = variant == "old"
+    hv, vv = h, v
     for sh, upper, mask in _triangle_masks(w):
+        if gather_each_step:
+            hv, vv = h.copy(), v.copy()
         shift = _U(sh)
         if upper:
             hs = hv >> shift
@@ -71,7 +73,21 @@ def _bit_chunk(hv, vv, av, bv, mh, mv, variant, w):
             else:
                 cb_ = c >> shift
                 hv = ((~cb_ & wmask) & hv) | (cb_ & (vv_old >> shift))
-    return np.array(hv), np.array(vv)
+        if gather_each_step:
+            h[...] = hv
+            v[...] = vv
+    if not gather_each_step:
+        h[...] = hv
+        v[...] = vv
+    return h, v
+
+
+def _bit_chunk_copy(h, v, *args):
+    """:func:`_bit_chunk` on copies of ``h`` / ``v``, for a pool task: its
+    span of the words may be shared memory, which it must leave alone
+    (the parent scatters the returned words, so a retried task starts
+    from the same state)."""
+    return _bit_chunk(h.copy(), v.copy(), *args)
 
 
 def _chunk_ranges(length: int, workers: int) -> list[tuple[int, int]]:
@@ -85,55 +101,6 @@ def _chunk_ranges(length: int, workers: int) -> list[tuple[int, int]]:
             out.append((start, start + size))
         start += size
     return out
-
-
-def _bit_remote_rounds(machine, h, v, a_words, b_words, a_valid, b_valid, variant, w):
-    """Run the block-anti-diagonal wavefront on a process machine.
-
-    The six word arrays broadcast once (shared-memory segments under the
-    shm transport); each round ships per-worker spans of the current
-    anti-diagonal as contiguous zero-copy slices, and the parent scatters
-    the small returned slices back into the broadcast views. Returns the
-    final ``h`` words as a local array.
-    """
-    ma, nb = a_words.size, b_words.size
-    bh, bv, baw, bbw, bav, bbv = machine_broadcast(
-        machine, h, v, a_words, b_words, a_valid, b_valid
-    )
-    try:
-        for d in range(ma + nb - 1):
-            i_lo = max(0, d - nb + 1)
-            i_hi = min(ma - 1, d)
-            # walk blocks by ascending word index l = ma-1-i so both the
-            # l-span and the j-span (j = d-i) are contiguous slices
-            l0 = ma - 1 - i_hi
-            j0 = d - i_hi
-            count = i_hi - i_lo + 1
-            spans = _chunk_ranges(count, machine.workers)
-            specs = [
-                (
-                    _bit_chunk,
-                    (
-                        bh[l0 + c0 : l0 + c1],
-                        bv[j0 + c0 : j0 + c1],
-                        baw[l0 + c0 : l0 + c1],
-                        bbw[j0 + c0 : j0 + c1],
-                        bav[l0 + c0 : l0 + c1],
-                        bbv[j0 + c0 : j0 + c1],
-                        variant,
-                        w,
-                    ),
-                    {},
-                )
-                for c0, c1 in spans
-            ]
-            outs = run_array_round(machine, specs)
-            for (c0, c1), (hv2, vv2) in zip(spans, outs):
-                bh[l0 + c0 : l0 + c1] = hv2
-                bv[j0 + c0 : j0 + c1] = vv2
-        return np.array(machine_localize(machine, bh))
-    finally:
-        machine_release(machine, bh, bv, baw, bbw, bav, bbv)
 
 
 def bit_lcs_parallel(
@@ -172,77 +139,46 @@ def _bit_lcs_parallel_impl(ca, cb, machine, variant: Variant, w: int) -> int:
     metrics.inc("bitparallel.blocks", ma * nb)
     h = np.full(ma, word_mask(w), dtype=WORD_DTYPE)
     v = np.zeros(nb, dtype=WORD_DTYPE)
-    steps = _triangle_masks(w)
-    wmask = word_mask(w)
-    use_new2 = variant == "new2"
-    gather_each_step = variant == "old"
-    if use_new2:
-        a_words = (~a_words) & wmask
-
-    if getattr(machine, "remote_tasks", False):
-        # process machines cannot mutate the parent's h/v through thunk
-        # closures; run the wavefront through broadcast word arrays and
-        # spec rounds instead (bit-identical; see _bit_remote_rounds)
-        h_final = _bit_remote_rounds(
-            machine, h, v, a_words, b_words, a_valid, b_valid, variant, w
-        )
-        return m_pad - popcount_words(h_final, w)
-
-    def chunk_thunk(ls, js):
-        def thunk():
-            hv = h[ls]
-            vv = v[js]
-            av = a_words[ls]
-            bv = b_words[js]
-            mh = a_valid[ls]
-            mv = b_valid[js]
-            for sh, upper, mask in steps:
-                if gather_each_step:
-                    hv = h[ls]
-                    vv = v[js]
-                shift = _U(sh)
-                if upper:
-                    hs = hv >> shift
-                    as_ = av >> shift
-                    mfull = mask & (mh >> shift) & mv
-                else:
-                    hs = (hv << shift) & wmask
-                    as_ = (av << shift) & wmask
-                    mfull = mask & ((mh << shift) & wmask) & mv
-                if use_new2:
-                    s = as_ ^ bv
-                    vv_old = vv
-                    vv = (hs | (~mfull & wmask)) & (vv | (s & mfull))
-                    patch = vv ^ vv_old
-                    hv = hv ^ (((patch << shift) & wmask) if upper else (patch >> shift))
-                else:
-                    s = (~(as_ ^ bv)) & wmask
-                    c = mfull & (s | ((~hs & wmask) & vv))
-                    vv_old = vv
-                    vv = ((~c & wmask) & vv) | (c & hs)
-                    if upper:
-                        cb_ = (c << shift) & wmask
-                        hv = ((~cb_ & wmask) & hv) | (cb_ & ((vv_old << shift) & wmask))
-                    else:
-                        cb_ = c >> shift
-                        hv = ((~cb_ & wmask) & hv) | (cb_ & (vv_old >> shift))
-                if gather_each_step:
-                    h[ls] = hv
-                    v[js] = vv
-            if not gather_each_step:
-                h[ls] = hv
-                v[js] = vv
-
-        return thunk
-
-    for d in range(ma + nb - 1):
-        i_lo = max(0, d - nb + 1)
-        i_hi = min(ma - 1, d)
-        blk_i = np.arange(i_lo, i_hi + 1)
-        ls_all = ma - 1 - blk_i
-        js_all = d - blk_i
-        # the blocks of one block-anti-diagonal are identical-cost
-        # independent items: submit them as a uniform round
-        machine.run_uniform_round([(chunk_thunk(ls_all, js_all), blk_i.size)])
-
-    return m_pad - popcount_words(h, w)
+    if variant == "new2":
+        a_words = (~a_words) & word_mask(w)
+    # the words broadcast once (shared memory on a shm pool)
+    h, v, aw, bw, am, bm = machine.broadcast(h, v, a_words, b_words, a_valid, b_valid)
+    chunk = _bit_chunk_copy if machine.remote_tasks else _bit_chunk
+    try:
+        for d in range(ma + nb - 1):
+            i_lo = max(0, d - nb + 1)
+            i_hi = min(ma - 1, d)
+            # walk blocks by ascending word index l = ma-1-i so both the
+            # l-span and the j-span (j = d-i) are contiguous slices
+            l0 = ma - 1 - i_hi
+            j0 = d - i_hi
+            count = i_hi - i_lo + 1
+            # in-process one task over the block-anti-diagonal (its blocks
+            # are the items); on a pool one contiguous span per worker
+            spans = [(0, count)]
+            if machine.remote_tasks:
+                spans = _chunk_ranges(count, machine.workers)
+            specs = [
+                (
+                    chunk,
+                    (
+                        h[l0 + c0 : l0 + c1],
+                        v[j0 + c0 : j0 + c1],
+                        aw[l0 + c0 : l0 + c1],
+                        bw[j0 + c0 : j0 + c1],
+                        am[l0 + c0 : l0 + c1],
+                        bm[j0 + c0 : j0 + c1],
+                        variant,
+                        w,
+                    ),
+                    {},
+                )
+                for c0, c1 in spans
+            ]
+            outs = machine.run_round(specs, items=[c1 - c0 for c0, c1 in spans])
+            for (c0, c1), (hv, vv) in zip(spans, outs):
+                h[l0 + c0 : l0 + c1] = hv
+                v[j0 + c0 : j0 + c1] = vv
+        return m_pad - popcount_words(machine.localize(h), w)
+    finally:
+        machine.release_arrays([h, v, aw, bw, am, bm])

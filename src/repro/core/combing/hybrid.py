@@ -375,7 +375,11 @@ def _hybrid_combing_grid_impl(
 
     n_leaves = len(a_lens) * n_outer
     get_metrics().inc("combing.grid_leaves", n_leaves)
-    root = run_grid_levels(plan, n_leaves, run_leaves, run_level)
-    if checkpoint is not None:
-        checkpoint.finish()
+    try:
+        root = run_grid_levels(plan, n_leaves, run_leaves, run_level)
+        if checkpoint is not None:
+            checkpoint.finish()
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()  # on every exit; only finish() records done
     return root

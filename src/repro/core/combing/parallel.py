@@ -6,15 +6,20 @@ the parallel cost (see :mod:`repro.parallel` for the available machines
 and why the simulator is the default for thread-scaling figures).
 
 - :func:`parallel_iterative_combing` — Listing 4: anti-diagonal
-  wavefront; each anti-diagonal runs as one uniform round (one barrier
-  per anti-diagonal).
+  wavefront; each anti-diagonal runs as one round whose task carries its
+  cell count as ``items`` (one barrier per anti-diagonal).
 - :func:`parallel_load_balanced_combing` — the Fig. 2 variant: phases 1
   and 3 are combed concurrently with matched anti-diagonals so every
   round processes exactly ``m`` cells, then the three phase braids are
-  recombined by braid multiplication.
+  recombined by braid multiplication, one one-task round each.
 - :func:`parallel_hybrid_combing_grid` — Listing 7: one round combs all
   sub-blocks, then each level of
   :func:`~repro.core.combing.hybrid.plan_grid_reduction` is one round.
+
+The two wavefront combers update their strand arrays in place, so they
+need a machine whose tasks run in this process; on a process pool
+(``machine.remote_tasks``) they raise
+:class:`~repro.errors.BackendError` before their first round.
 """
 
 from __future__ import annotations
@@ -22,14 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...alphabet import encode
+from ...errors import BackendError
 from ...obs import get_metrics, get_tracer
 from ...obs import phase as _obs_phase
-from ...parallel.transport import (
-    machine_broadcast,
-    machine_localize,
-    machine_release,
-    run_array_round,
-)
 from ...types import PermArray, Sequenceish
 from ..compose import flip_kernel
 from .hybrid import (
@@ -70,15 +70,26 @@ def _grid_compose(op, p, q, multiply, compact):
     return _compact_perm(op.compose(p, q, multiply), compact)
 
 
-def _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch):
-    """Comb the cells of one anti-diagonal ``diag = (length, h_lo, v_lo)``
-    in place. *scratch* belongs to these strands alone: one round may run
-    thunks of different strand states at once on a thread machine."""
+def _diag_spec(a_rev, cb, h_strands, v_strands, diag, blend, scratch):
+    """The task combing the cells of one anti-diagonal ``diag = (length,
+    h_lo, v_lo)`` in place. *scratch* belongs to these strands alone: one
+    round may run tasks of different strand states at once on a thread
+    machine."""
+    return (
+        _comb_region_simd,
+        (a_rev, cb, h_strands, v_strands, (diag,), blend),
+        {"scratch": scratch},
+    )
 
-    def thunk():
-        _comb_region_simd(a_rev, cb, h_strands, v_strands, (diag,), blend, scratch=scratch)
 
-    return thunk
+def _require_local_tasks(machine, name: str) -> None:
+    """Refuse a machine whose tasks cannot update this process's arrays."""
+    if machine.remote_tasks:
+        raise BackendError(
+            f"{name} combs its strand arrays in place, so it needs a machine "
+            "whose tasks run in this process (serial, simulated or threads); "
+            "parallel_hybrid_combing_grid runs on a process pool"
+        )
 
 
 def parallel_iterative_combing(
@@ -93,13 +104,16 @@ def parallel_iterative_combing(
     anti-diagonal.
 
     The cells of an anti-diagonal are identical-cost independent items,
-    so each round is submitted as a *uniform round* (one vectorized batch
-    whose cost the machine divides across its workers); see
-    :meth:`repro.parallel.api.Machine.run_uniform_round`.
+    so each round is one vectorized task with the cell count as its
+    ``items`` (the simulator divides its cost across the workers; see
+    :meth:`repro.parallel.simulator.SimulatedMachine.run_round`).
 
     ``use_16bit`` stores strand labels as ``uint16`` whenever
     ``m + n <= 2^16``; the kernel returned is ``int64`` either way.
+    Raises :class:`~repro.errors.BackendError` on a machine with
+    ``remote_tasks``.
     """
+    _require_local_tasks(machine, "parallel_iterative_combing")
     ca, cb = encode(a), encode(b)
     if ca.size > cb.size:
         return flip_kernel(
@@ -121,8 +135,8 @@ def parallel_iterative_combing(
         v_strands = np.arange(m, m + n, dtype=dt)
         scratch = antidiag_scratch(h_strands, m)
         for diag in _antidiag_ranges(m, n):
-            thunk = _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch)
-            machine.run_uniform_round([(thunk, diag[0])])
+            spec = _diag_spec(a_rev, cb, h_strands, v_strands, diag, blend, scratch)
+            machine.run_round([spec], items=[diag[0]])
         return _extract_kernel(h_strands, v_strands)
 
 
@@ -141,11 +155,15 @@ def parallel_load_balanced_combing(
     anti-diagonal ``k`` of the shrinking phase (total exactly ``m`` cells)
     and splits the union into ``workers`` chunks; the middle phase runs
     its full-length anti-diagonals as ordinary rounds. The three phase
-    braids are then composed by braid multiplication (serial sections).
+    braids are then composed by braid multiplication (one-task rounds:
+    sequential sections).
 
     ``use_16bit`` stores the phase strand states as ``uint16`` whenever
     ``m + n <= 2^16``; the kernel returned is ``int64`` either way.
+    Raises :class:`~repro.errors.BackendError` on a machine with
+    ``remote_tasks``.
     """
+    _require_local_tasks(machine, "parallel_load_balanced_combing")
     ca, cb = encode(a), encode(b)
     if ca.size > cb.size:
         return flip_kernel(
@@ -182,31 +200,30 @@ def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16b
         states[phase] = (h_in, v_in.astype(dt), d_lo, d_hi, antidiag_scratch(h_in, m))
 
     def phase_task(phase, d):
+        """``(spec, cells)`` of anti-diagonal *d* of *phase*, or ``None``."""
         h_strands, v_strands, d_lo, d_hi, scratch = states[phase]
         if not (d_lo <= d < d_hi):
             return None
         (diag,) = _antidiag_ranges(m, n, d, d + 1)
-        thunk = _make_diag_thunk(a_rev, cb, h_strands, v_strands, diag, blend, scratch)
-        return thunk, diag[0]
+        return _diag_spec(a_rev, cb, h_strands, v_strands, diag, blend, scratch), diag[0]
+
+    def run(tasks):
+        tasks = [t for t in tasks if t is not None]
+        if tasks:
+            machine.run_round([spec for spec, _ in tasks], items=[c for _, c in tasks])
 
     # joint rounds for phases 1 and 3 (balanced: the k-th growing and the
     # k-th shrinking anti-diagonal together process exactly m cells)
     p1_len = cuts[1] - cuts[0]
     p3_len = cuts[3] - cuts[2]
     for k in range(max(p1_len, p3_len)):
-        tasks = []
-        if k < p1_len:
-            tasks.append(phase_task(1, cuts[0] + k))
-        if k < p3_len:
-            tasks.append(phase_task(3, cuts[2] + k))
-        tasks = [t for t in tasks if t is not None]
-        if tasks:
-            machine.run_uniform_round(tasks)
+        run([
+            phase_task(1, cuts[0] + k) if k < p1_len else None,
+            phase_task(3, cuts[2] + k) if k < p3_len else None,
+        ])
     # middle phase: full-length anti-diagonals
     for d in range(cuts[1], cuts[2]):
-        task = phase_task(2, d)
-        if task is not None:
-            machine.run_uniform_round([task])
+        run([phase_task(2, d)])
 
     # convert each phase state to cut coordinates and compose
     braids = []
@@ -221,7 +238,7 @@ def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16b
         braids.append(perm)
     result = braids[0]
     for nxt in braids[1:]:
-        result = machine.run_serial(lambda r=result, x=nxt: multiply(r, x))
+        (result,) = machine.run_round([(multiply, (result, nxt), {})])
     return result
 
 
@@ -319,15 +336,19 @@ def _parallel_hybrid_grid_impl(
         if finished is not None:
             return finished
 
-    get_metrics().inc("combing.grid_leaves", n_leaves)
-    run_leaves, run_level = _spec_rounds(
-        ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint
-    )
-    result = run_grid_levels(plan, n_leaves, run_leaves, run_level)
-    local = machine_localize(machine, result)
-    machine_release(machine, result)
-    if checkpoint is not None:
-        checkpoint.finish()
+    try:
+        get_metrics().inc("combing.grid_leaves", n_leaves)
+        run_leaves, run_level = _spec_rounds(
+            ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint
+        )
+        result = run_grid_levels(plan, n_leaves, run_leaves, run_level)
+        if checkpoint is not None:
+            checkpoint.finish()
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()  # on every exit; only finish() records done
+    local = machine.localize(result)
+    machine.release_arrays([result])
     return np.asarray(local, dtype=np.int64)
 
 
@@ -340,7 +361,7 @@ def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, che
     journal records a round's persisted nodes once the round drains."""
     compact = bool(use_16bit)
     spans = plan[1]
-    bca, bcb = machine_broadcast(machine, ca, cb)
+    bca, bcb = machine.broadcast(ca, cb)
 
     def run(tasks, leaf):
         """Run ``(node, fn, args)`` *tasks* as one round; return their
@@ -355,7 +376,7 @@ def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, che
                 )
             specs.append((fn, args, {}))
             keys.append(key)
-        return run_array_round(machine, specs), keys
+        return machine.run_round(specs), keys
 
     def run_leaves(nodes):
         tasks = []
@@ -364,7 +385,7 @@ def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, che
             args = (bca[a_lo:a_hi], bcb[b_lo:b_hi], blend, use_16bit, compact)
             tasks.append((node, _grid_leaf, args))
         outs, keys = run(tasks, leaf=True)
-        machine_release(machine, bca, bcb)  # only leaves read the inputs
+        machine.release_arrays([bca, bcb])  # only leaves read the inputs
         for node, key in zip(nodes, keys):
             if key is not None:
                 checkpoint.record_leaf(*divmod(node, n_outer), key)
@@ -375,7 +396,7 @@ def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, che
             (op.out, _grid_compose, (op, left, right, multiply, compact))
             for op, (left, right) in zip(ops, inputs)
         ], leaf=False)
-        machine_release(machine, *(k for pair in inputs for k in pair))
+        machine.release_arrays([k for pair in inputs for k in pair])
         for index, key in enumerate(keys):
             if key is not None:
                 checkpoint.record_compose(level, index, key)

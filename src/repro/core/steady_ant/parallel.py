@@ -21,7 +21,6 @@ import numpy as np
 from ...errors import ShapeMismatchError
 from ...obs import get_metrics, get_tracer
 from ...parallel.api import SerialMachine
-from ...parallel.transport import machine_localize, machine_release, run_array_round
 from ...types import PermArray
 from ._core import combine, split_p, split_q
 from .combined import steady_ant_combined
@@ -93,9 +92,7 @@ def steady_ant_parallel(
         # and feed the combine rounds without re-shipping
         metrics.inc("steady_ant.parallel_leaves", len(leaves))
         metrics.inc("steady_ant.parallel_rounds", 1)
-        results = run_array_round(
-            machine, [(leaf_multiply, (sp, sq), {}) for sp, sq in leaves]
-        )
+        results = machine.run_round([(leaf_multiply, (sp, sq), {}) for sp, sq in leaves])
 
         # combine back up, one round per level
         for meta_level in reversed(split_meta):
@@ -120,12 +117,12 @@ def steady_ant_parallel(
                 eaten += [r_lo, r_hi]
             if specs:
                 metrics.inc("steady_ant.parallel_rounds", 1)
-                outs = run_array_round(machine, specs)
-                machine_release(machine, *eaten)
+                outs = machine.run_round(specs)
+                machine.release_arrays(eaten)
                 for slot, out in zip(slots, outs):
                     merged[slot] = out
             results = merged
 
-        out = machine_localize(machine, results[0])
-        machine_release(machine, results[0])
+        out = machine.localize(results[0])
+        machine.release_arrays([results[0]])
         return np.asarray(out, dtype=np.int64)

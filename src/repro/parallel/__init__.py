@@ -3,7 +3,14 @@
 The paper's algorithms are parallelized with OpenMP threads + AVX SIMD.
 CPython's GIL makes thread-level parallelism useless for compute-bound
 Python, so this package offers interchangeable *machines* behind one
-protocol (:class:`repro.parallel.api.Machine`):
+base class (:class:`repro.parallel.api.Machine`) with one round
+primitive: ``run_round(specs, *, items=None)`` runs a bulk-synchronous
+round of ``(fn, args, kwargs)`` specs and returns their results in
+order. ``items`` weighs identical-cost work for the simulator alone;
+the transport surface (``broadcast``, ``localize``, ``release_arrays``,
+``slab``, ``recycle_slabs``, ``transport_stats``, ``close``,
+``rebuild``) is an identity or a no-op everywhere but on the
+shared-memory process pool, so call sites never probe a machine:
 
 - :class:`~repro.parallel.api.SerialMachine` — sequential execution,
   wall-clock accounting (the 1-thread baseline);
@@ -14,12 +21,17 @@ protocol (:class:`repro.parallel.api.Machine`):
   GIL-free reproduction of the paper's thread-scaling figures: load
   imbalance, synchronization costs and saturation emerge from the real
   measured task durations;
+- :class:`~repro.parallel.threads.ThreadMachine` — a thread pool;
 - :class:`~repro.parallel.processes.ProcessMachine` — a real
   ``multiprocessing`` pool for coarse-grained tasks (steady-ant subtasks,
-  hybrid sub-grids), paying real pickling costs.
+  hybrid sub-grids, batch megabatches), shipping specs by pickle or over
+  shared memory (:mod:`repro.parallel.transport`). Its tasks run in
+  other processes (``remote_tasks``), so the in-place wavefront combers
+  refuse it.
 
-Two wrappers add fault tolerance on top of any inner machine (see
-``DESIGN.md`` § Fault tolerance):
+Two wrappers (:class:`~repro.parallel.api.MachineWrapper`) add fault
+tolerance on top of any inner machine (see ``DESIGN.md`` § Fault
+tolerance):
 
 - :class:`~repro.parallel.resilient.ResilientMachine` enforces a
   :class:`~repro.parallel.resilient.FaultPolicy` — per-task timeouts,
@@ -46,13 +58,7 @@ from .threads import ThreadMachine
 from .transport import (
     ArrayHandle,
     SharedArena,
-    machine_broadcast,
-    machine_localize,
-    machine_recycle_slabs,
-    machine_release,
-    machine_slab,
     release_all_arenas,
-    run_array_round,
     shared_memory_available,
 )
 
@@ -119,12 +125,6 @@ __all__ = [
     "SharedArena",
     "ArrayHandle",
     "shared_memory_available",
-    "machine_broadcast",
-    "machine_localize",
-    "machine_release",
-    "machine_slab",
-    "machine_recycle_slabs",
-    "run_array_round",
     "release_all_arenas",
     "MACHINE_KINDS",
     "make_machine",

@@ -1,67 +1,193 @@
-"""The ``Machine`` protocol: bulk-synchronous rounds of independent tasks.
+"""The machine layer: one round primitive and one transport surface.
 
 The paper's parallel algorithms are bulk-synchronous: a sequence of
 rounds, each a set of independent tasks followed by a barrier (the
-``#pragma sync`` in Listings 4-7). A :class:`Machine` executes one round
-and accounts its cost; algorithms parameterized over a machine can run
-serially, on real processes, or on the deterministic simulator without
-code changes.
+``#pragma sync`` in Listings 4-7; Tiskin's BSP superstep). Every machine
+runs a round the same way: :meth:`Machine.run_round` takes
+``(fn, args, kwargs)`` *specs*, runs ``fn(*args, **kwargs)`` for each,
+and returns the results in spec order. A spec whose ``fn`` is a
+module-level function pickles, so the same round runs serially, on the
+deterministic simulator, on threads or on a process pool without code
+changes.
+
+``items=`` gives each spec a count of identical-cost work items (the
+cells of an anti-diagonal, the blocks of a block-anti-diagonal). Only
+:class:`~repro.parallel.simulator.SimulatedMachine` reads it: a p-worker
+machine would split those items evenly, so the simulator divides the
+measured batch time accordingly; every other machine ignores it.
+
+:class:`Machine` also carries the transport surface (``broadcast``,
+``localize``, ``release_arrays``, ``slab``, ``recycle_slabs``,
+``transport_stats``, ``close``, ``rebuild``) with identity or no-op
+defaults, so call sites use it on any machine without probing;
+:class:`~repro.parallel.processes.ProcessMachine` overrides it with its
+shared-memory transport, and :class:`MachineWrapper` passes it through to
+the machine it wraps.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Sequence
 
-Thunk = Callable[[], Any]
+import numpy as np
+
+#: one task of a round: ``fn(*args, **kwargs)``
+Spec = tuple[Callable[..., Any], tuple, dict]
 
 
-@runtime_checkable
-class Machine(Protocol):
-    """Executes rounds of independent tasks and accounts elapsed time."""
+def note_task(exc: BaseException, index: int, n_tasks: int) -> None:
+    """Annotate a task's own exception with the task that raised it."""
+    if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
+        exc.add_note(f"raised by task {index} of a {n_tasks}-task round")
+
+
+def call_spec(spec: Spec, index: int, n_tasks: int):
+    """Run one spec in this process; its error names the task."""
+    fn, args, kwargs = spec
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        note_task(exc, index, n_tasks)
+        raise
+
+
+class Machine:
+    """Runs rounds of independent ``(fn, args, kwargs)`` specs and
+    accounts elapsed time (see the module docstring).
+
+    Subclasses implement :meth:`run_round`, :attr:`elapsed` and
+    :meth:`reset`; the transport surface defaults to identities and
+    no-ops. Pool machines (``supports_task_timeout``) also accept
+    ``run_round(..., timeout=seconds)``, a deadline for the whole round.
+    """
 
     #: number of workers the machine models / uses
-    workers: int
+    workers: int = 1
+    #: tasks run in worker processes: their side effects on arguments
+    #: never reach this process, and closures cannot be shipped
+    remote_tasks: bool = False
+    #: ``run_round`` takes ``timeout=`` and enforces it preemptively
+    supports_task_timeout: bool = False
 
-    def run_round(self, thunks: Sequence[Thunk]) -> list:
-        """Execute all *thunks* (a parallel region + barrier); return
-        their results in order."""
-        ...
-
-    def run_uniform_round(self, tasks: Sequence[tuple[Thunk, int]]) -> list:
-        """Execute a round whose work consists of identical-cost *items*.
-
-        Each task is ``(thunk, n_items)`` where the thunk processes all
-        of its items in one (vectorized) batch. Because the items are
-        interchangeable, a p-worker machine would split them evenly; the
-        simulator accounts the round at ``T * ceil(N/p) / N`` for the
-        measured batch time ``T`` and total item count ``N``. This models
-        data-parallel inner loops (anti-diagonal cells, bit-parallel
-        blocks) without paying NumPy dispatch overhead per chunk — the
-        overhead a compiled OpenMP runtime does not have.
-        """
-        ...
-
-    def run_serial(self, thunk: Thunk):
-        """Execute a sequential section (counted at full cost)."""
-        ...
+    def run_round(self, specs: Sequence[Spec], *, items: Sequence[int] | None = None) -> list:
+        """Run every spec (a parallel region + barrier); return their
+        results in order. ``items`` (one count per spec) weighs uniform
+        work for the simulator."""
+        raise NotImplementedError
 
     @property
     def elapsed(self) -> float:
         """Accounted running time in seconds."""
-        ...
+        raise NotImplementedError
 
     def reset(self) -> None:
         """Zero the accounting."""
-        ...
+        raise NotImplementedError
+
+    # -- transport surface (identities / no-ops without a transport) ----
+
+    def broadcast(self, *arrays: np.ndarray) -> tuple:
+        """Place *arrays* where every worker reads them without a copy per
+        task; returns the arrays to ship (slices of them ship cheaply)."""
+        return arrays
+
+    def localize(self, arr):
+        """*arr* as an array that outlives :meth:`close`."""
+        return arr
+
+    def release_arrays(self, arrays) -> None:
+        """Free the transport memory behind *arrays*; call only once no
+        later round ships them again."""
+
+    def slab(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A reusable scratch array to pack task inputs into; contents are
+        uninitialized."""
+        return np.empty(shape, dtype=dtype)
+
+    def recycle_slabs(self, arrays) -> None:
+        """Hand slab-backed *arrays* back for reuse once no round reads
+        them."""
+
+    def transport_stats(self) -> dict:
+        """Data-movement counters of the run (``{}`` without a transport)."""
+        return {}
+
+    def close(self) -> None:
+        """Release workers and transport memory (idempotent)."""
+
+    def rebuild(self) -> None:
+        """Replace broken workers; counters survive."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-class SerialMachine:
+class MachineWrapper(Machine):
+    """A machine around an *inner* one (``SerialMachine`` by default).
+
+    Workers, capabilities, accounting and the whole transport surface
+    pass straight through; subclasses override :meth:`run_round` and
+    whatever else they add to.
+    """
+
+    def __init__(self, inner: Machine | None = None):
+        self.inner = inner if inner is not None else SerialMachine()
+        self.workers = self.inner.workers
+        self.remote_tasks = self.inner.remote_tasks
+        self.supports_task_timeout = self.inner.supports_task_timeout
+
+    @property
+    def elapsed(self) -> float:
+        """The inner machine's accounted seconds."""
+        return self.inner.elapsed
+
+    def reset(self) -> None:
+        """Zero the inner machine's accounting."""
+        self.inner.reset()
+
+    def broadcast(self, *arrays: np.ndarray) -> tuple:
+        """The inner machine's :meth:`Machine.broadcast`."""
+        return self.inner.broadcast(*arrays)
+
+    def localize(self, arr):
+        """The inner machine's :meth:`Machine.localize`."""
+        return self.inner.localize(arr)
+
+    def release_arrays(self, arrays) -> None:
+        """The inner machine's :meth:`Machine.release_arrays`."""
+        self.inner.release_arrays(arrays)
+
+    def slab(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The inner machine's :meth:`Machine.slab`."""
+        return self.inner.slab(shape, dtype)
+
+    def recycle_slabs(self, arrays) -> None:
+        """The inner machine's :meth:`Machine.recycle_slabs`."""
+        self.inner.recycle_slabs(arrays)
+
+    def transport_stats(self) -> dict:
+        """The inner machine's :meth:`Machine.transport_stats`."""
+        return self.inner.transport_stats()
+
+    def close(self) -> None:
+        """Close the inner machine."""
+        self.inner.close()
+
+    def rebuild(self) -> None:
+        """Rebuild the inner machine's workers; every counter survives."""
+        self.inner.rebuild()
+
+
+class SerialMachine(Machine):
     """Sequential execution; ``elapsed`` is plain wall-clock time.
 
-    The cheapest Machine: every round runs the thunks in submission
+    The cheapest Machine: every round runs its specs in submission
     order on the calling thread. ``rounds`` / ``tasks`` are plain int
-    attributes (one round per call, one task per thunk) — deliberately
+    attributes (one round per call, one task per spec) — deliberately
     *not* live metrics, because algorithms such as the anti-diagonal
     wavefront submit one round per diagonal and the per-round cost must
     stay a couple of attribute increments.
@@ -76,33 +202,23 @@ class SerialMachine:
         self.rounds = 0
         self.tasks = 0
 
-    def run_round(self, thunks: Sequence[Thunk]) -> list:
-        """Run *thunks* sequentially; returns their results in order.
+    def run_round(self, specs: Sequence[Spec], *, items: Sequence[int] | None = None) -> list:
+        """Run *specs* sequentially; returns their results in order.
 
         Accumulates the wall-clock cost of the whole round into
-        :attr:`elapsed` (seconds).
+        :attr:`elapsed` (seconds); ``items`` is ignored.
         """
         start = time.perf_counter()
-        results = [t() for t in thunks]
+        n = len(specs)
+        results = [call_spec(spec, i, n) for i, spec in enumerate(specs)]
         self._elapsed += time.perf_counter() - start
         self.rounds += 1
-        self.tasks += len(thunks)
+        self.tasks += n
         return results
-
-    def run_uniform_round(self, tasks: Sequence[tuple[Thunk, int]]) -> list:
-        """Run a uniform round; serially the item counts are irrelevant."""
-        return self.run_round([t for t, _ in tasks])
-
-    def run_serial(self, thunk: Thunk):
-        """Run one sequential section, accounted at full cost."""
-        start = time.perf_counter()
-        result = thunk()
-        self._elapsed += time.perf_counter() - start
-        return result
 
     @property
     def elapsed(self) -> float:
-        """Accumulated wall-clock time of all rounds/sections, in seconds."""
+        """Accumulated wall-clock time of all rounds, in seconds."""
         return self._elapsed
 
     def reset(self) -> None:

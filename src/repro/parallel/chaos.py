@@ -1,6 +1,6 @@
 """Deterministic fault injection for testing the resilience layer.
 
-:class:`ChaosMachine` wraps any in-process machine and, with seeded
+:class:`ChaosMachine` wraps any machine and, with seeded
 probabilities, makes tasks fail (:class:`ChaosError`), stall
 (``time.sleep``) or take their "worker" down with them
 (:class:`~repro.errors.WorkerCrashError`) — so the retry / rebuild /
@@ -14,20 +14,20 @@ consumes fresh draws — transient faults clear on retry, exactly like
 real stragglers.
 
 The injected faults are raised *instead of* running the task, so a
-faulted task never half-applies its work. Wrap in-process machines only
-(``SerialMachine``, ``SimulatedMachine``, ``ThreadMachine``): the fault
-closures are not picklable.
+faulted task never half-applies its work. On a process pool the faulted
+task's function is replaced by a picklable raiser that fires in the
+worker, exactly where a real in-flight fault would surface.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import BackendError, SharedMemoryUnavailableError, WorkerCrashError
 from ..obs.metrics import inc as _metric_inc
-from .api import SerialMachine, Thunk
+from .api import Machine, MachineWrapper, Spec
 
 
 class ChaosError(BackendError):
@@ -73,7 +73,7 @@ def _raise_worker_crash(index: int):
     raise WorkerCrashError(f"chaos: simulated worker crash in task {index}", task_index=index)
 
 
-class ChaosMachine:
+class ChaosMachine(MachineWrapper):
     """Injects seeded faults around an inner machine's task execution.
 
     - ``fail_rate`` — probability a task raises :class:`ChaosError`;
@@ -93,10 +93,14 @@ class ChaosMachine:
       allocations, forcing the degraded-to-pickle transport path;
     - ``seed`` — the deterministic fault stream.
 
-    Spec rounds (``run_round_arrays``) ship to worker processes, so
+    On a machine whose tasks run in worker processes (``remote_tasks``)
     faults are injected by *substituting* a module-level raiser for the
-    task's function — ``fail`` and ``crash`` are supported there,
-    ``delay`` and ``abort_after`` apply to in-process thunk rounds only.
+    task's function, so the fault fires in the worker — ``fail`` and
+    ``crash`` are supported there, ``delay`` and ``abort_after`` apply to
+    in-process machines only. The transport surface and the accounting
+    pass through to the inner machine
+    (:class:`~repro.parallel.api.MachineWrapper`); :meth:`reset` does not
+    rewind the fault stream.
 
     ``fault_log`` records ``(execution_index, task_index, kind)`` for
     every injected fault, for determinism assertions in tests.
@@ -104,7 +108,7 @@ class ChaosMachine:
 
     def __init__(
         self,
-        inner=None,
+        inner: Machine | None = None,
         *,
         fail_rate: float = 0.0,
         crash_rate: float = 0.0,
@@ -127,12 +131,9 @@ class ChaosMachine:
             raise ValueError("abort_after must be >= 0 (or None)")
         if shm_loss_after is not None and shm_loss_after < 0:
             raise ValueError("shm_loss_after must be >= 0 (or None)")
+        super().__init__(inner)
         self.abort_after = abort_after
         self._completed = 0
-        self.inner = inner if inner is not None else SerialMachine()
-        self.workers = self.inner.workers
-        self.remote_tasks = getattr(self.inner, "remote_tasks", False)
-        self.supports_task_timeout = getattr(self.inner, "supports_task_timeout", False)
         if shm_loss_after is not None:
             inject = getattr(self.inner, "inject_shm_loss", None)
             if inject is None:
@@ -165,12 +166,15 @@ class ChaosMachine:
             return "fail", d
         return None, d
 
-    def _wrap(self, thunk: Thunk, index: int) -> Thunk:
+    def _wrap(self, spec: Spec, index: int) -> Spec:
+        """Fault-inject an in-process task: the fault (or delay) fires
+        when the task would run, instead of running it."""
+        fn, args, kwargs = spec
         fault, delayed = self._plan(index)
         execution = self._executions
         self._executions += 1
 
-        def chaotic():
+        def chaotic(*args, **kwargs):
             if self.abort_after is not None and self._completed >= self.abort_after:
                 self.fault_log.append((execution, index, "death"))
                 raise ChaosProcessDeath(
@@ -195,16 +199,16 @@ class ChaosMachine:
                 raise ChaosError(
                     f"chaos: injected failure in task {index}", task_index=index
                 )
-            result = thunk()
+            result = fn(*args, **kwargs)
             self._completed += 1
             return result
 
-        return chaotic
+        return chaotic, args, kwargs
 
-    def _wrap_spec(self, spec, index: int):
-        """Fault-inject a ``(fn, args, kwargs)`` spec by substituting a
-        picklable module-level raiser (spec rounds run out-of-process, so
-        closures cannot carry the fault)."""
+    def _wrap_remote(self, spec: Spec, index: int) -> Spec:
+        """Fault-inject a task bound for a worker process by substituting
+        a picklable module-level raiser (closures cannot carry the fault
+        across the process boundary)."""
         fault, _ = self._plan(index)
         execution = self._executions
         self._executions += 1
@@ -222,83 +226,9 @@ class ChaosMachine:
 
     # -- protocol ------------------------------------------------------
 
-    def run_round(self, thunks: Sequence[Thunk], **kw) -> list:
-        """Run the round with each thunk wrapped in fault injection."""
-        return self.inner.run_round([self._wrap(t, i) for i, t in enumerate(thunks)], **kw)
-
-    def run_uniform_round(self, tasks: Sequence[tuple[Thunk, int]]) -> list:
-        """Uniform-round variant with the same fault injection."""
-        return self.inner.run_uniform_round(
-            [(self._wrap(t, i), n) for i, (t, n) in enumerate(tasks)]
-        )
-
-    #: transport surface passed straight through to the inner machine;
-    #: resolved via ``__getattr__`` so capability probes (``hasattr``)
-    #: reflect what the inner machine actually supports
-    _PASSTHROUGH = (
-        "broadcast",
-        "localize",
-        "release_arrays",
-        "inject_shm_loss",
-        "transport_active",
-        "transport_stats",
-        "bytes_shipped",
-        "bytes_returned",
-        "slab",
-        "recycle_slabs",
-    )
-
-    def __getattr__(self, name):
-        if name == "inner":  # guard against recursion during __init__
-            raise AttributeError(name)
-        # the substituted raiser ships with the round and fires in the
-        # worker, exactly where a real in-flight fault would surface
-        if name == "run_round_arrays":
-            inner_fn = self.inner.run_round_arrays  # AttributeError: capability absent
-
-            def fault_injected(specs, **kw):
-                return inner_fn([self._wrap_spec(s, i) for i, s in enumerate(specs)], **kw)
-
-            return fault_injected
-        if name in self._PASSTHROUGH:
-            return getattr(self.inner, name)
-        raise AttributeError(name)
-
-    def run_serial(self, thunk: Thunk):
-        """Run a sequential section (also subject to fault injection)."""
-        return self.inner.run_serial(self._wrap(thunk, 0))
-
-    @property
-    def elapsed(self) -> float:
-        """The wrapped machine's accounted seconds (delays included)."""
-        return self.inner.elapsed
-
-    def reset(self) -> None:
-        """Zero the inner accounting. The fault stream and injection
-        counters are *not* rewound — reseed by constructing a new
-        machine."""
-        self.inner.reset()
-
-    def rebuild(self) -> None:
-        """Pass a pool rebuild through to the inner machine, if any.
-
-        All counters — this machine's ``injected_*`` totals and
-        ``fault_log``, and the inner machine's rounds/tasks/byte
-        counters — are preserved: rebuilding replaces the inner worker
-        pool, never the accounting.
-        """
-        rebuild = getattr(self.inner, "rebuild", None)
-        if rebuild is not None:
-            rebuild()
-
-    def close(self) -> None:
-        """Close the wrapped machine (if it has a ``close``)."""
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "ChaosMachine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def run_round(self, specs: Sequence[Spec], **kw) -> list:
+        """Run the round on the inner machine with every task
+        fault-injected; keyword arguments (``items``, ``timeout``) pass
+        through."""
+        wrap = self._wrap_remote if self.remote_tasks else self._wrap
+        return self.inner.run_round([wrap(s, i) for i, s in enumerate(specs)], **kw)

@@ -16,7 +16,7 @@ Two transports move array data (``transport=`` constructor knob):
   to pickle transport (with a :class:`~repro.errors.TransportFallbackWarning`,
   once) when shared memory is unavailable or chaos-injected away.
 
-Either way, :meth:`run_round_arrays` submits one future per spec, so
+Either way, :meth:`run_round` submits one future per spec, so
 the executor hands the next task to whichever worker frees up first, and
 counts the exact serialized bytes shipped to (``bytes_shipped``) and
 returned from (``bytes_returned``) the workers.
@@ -49,7 +49,7 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,22 +61,15 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..obs import get_metrics, get_tracer
-from .api import Thunk
+from .api import Machine, Spec, note_task
 from .transport import ARENA_MIN_BYTES, ArrayHandle, SharedArena, run_chunk
 
-def _note_task(exc: BaseException, index: int, n_tasks: int) -> None:
-    """Annotate a task's own exception with the task that raised it."""
-    if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
-        exc.add_note(f"raised by task {index} of a {n_tasks}-task round")
 
-
-class ProcessMachine:
-    """Executes rounds on a shared ``ProcessPoolExecutor``.
-
-    ``run_round`` accepts zero-argument thunks (must be picklable —
-    prefer ``functools.partial`` over closures); :meth:`run_round_arrays`
-    takes ``(fn, args, kwargs)`` triples.
-    ``timeout`` bounds the whole round (seconds from submission).
+class ProcessMachine(Machine):
+    """Executes rounds of picklable ``(fn, args, kwargs)`` specs on a
+    shared ``ProcessPoolExecutor`` (prefer module-level functions and
+    ``functools.partial`` over closures). ``timeout`` bounds the whole
+    round (seconds from submission).
     """
 
     #: advertises preemptive per-task timeouts to the resilience layer
@@ -224,16 +217,16 @@ class ProcessMachine:
             raise BackendError("machine is closed")
         return self._pool
 
-    def _collect(self, futures: list, timeout: float | None, unpack=None) -> list:
+    def _collect(self, futures: list, timeout: float | None, unpack) -> list:
         """Gather results in order against a single round deadline; on the
         first failure cancel every remaining future and raise a wrapped
         error that names the failing task.
 
         ``timeout`` is the budget for the *round*: the deadline is fixed
         when collection starts and shared across the in-order waits, so a
-        round of k tasks can never wait k x timeout. ``unpack(i, result)``,
-        if given, turns each result into the returned value as it arrives;
-        an error it raises fails the round the same way.
+        round of k tasks can never wait k x timeout. ``unpack(i, result)``
+        turns each result into the returned value as it arrives; an error
+        it raises fails the round the same way.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
@@ -256,42 +249,16 @@ class ProcessMachine:
                         task_index=i,
                     ) from exc
                 except Exception as exc:
-                    _note_task(exc, i, len(futures))
+                    note_task(exc, i, len(futures))
                     raise
-                results.append(result if unpack is None else unpack(i, result))
+                results.append(unpack(i, result))
         except BaseException:
             for f in futures:
                 f.cancel()
             raise
         return results
 
-    def _account_round(self, n_tasks: int) -> None:
-        """Coarse per-round accounting: rounds are few, so a live global
-        metric increment per round is within the overhead budget."""
-        metrics = get_metrics()
-        metrics.inc("machine.rounds", 1)
-        metrics.inc("machine.tasks", n_tasks)
-
-    def run_round(self, thunks: Sequence[Thunk], *, timeout: float | None = None) -> list:
-        """Run *thunks* (picklable zero-arg callables) as one round.
-
-        ``timeout`` (seconds) bounds the whole round. Thread-safety:
-        machines are driven from one thread; counters are plain ints.
-        """
-        pool = self._require_pool()
-        start = time.perf_counter()
-        try:
-            with get_tracer().span("machine.round", args={"tasks": len(thunks)}):
-                futures = [pool.submit(t) for t in thunks]
-                results = self._collect(futures, timeout)
-        finally:
-            self._elapsed += time.perf_counter() - start
-            self.rounds += 1
-            self.tasks += len(thunks)
-            self._account_round(len(thunks))
-        return results
-
-    # -- array transport rounds ----------------------------------------
+    # -- rounds --------------------------------------------------------
 
     def _pack_arg(self, obj, arena: SharedArena | None, ephemerals: list[str]):
         """Replace a large array argument with a shared-memory handle.
@@ -313,22 +280,28 @@ class ProcessMachine:
         ephemerals.append(handle.name)
         return handle
 
-    def run_round_arrays(
-        self, specs: Sequence[tuple[Callable, tuple, dict]], *, timeout: float | None = None
+    def run_round(
+        self,
+        specs: Sequence[Spec],
+        *,
+        items: Sequence[int] | None = None,
+        timeout: float | None = None,
     ) -> list:
-        """One round of ``(fn, args, kwargs)`` specs with array transport.
+        """One round of ``(fn, args, kwargs)`` specs on the worker pool.
 
         Array arguments travel as shared-memory handles (shm transport)
         or serialized values (pickle transport / after fallback); each
         spec is pickled as its own payload and submitted as its own
         future, in spec order, and large array results come back as
         adopted shared segments. ``timeout`` (seconds) bounds the whole
-        round, as in :meth:`run_round`.
+        round (one deadline shared by the in-order waits); ``items`` is
+        ignored. Thread-safety: machines are driven from one thread;
+        counters are plain ints.
 
         When tracing is enabled (or ``--metrics-out`` requested remote
         collection), each payload carries an observability request:
         workers record spans parented under this round's
-        ``machine.round_arrays`` span and ship back per-task metric
+        ``machine.round`` span and ship back per-task metric
         deltas, which are folded into the parent's tracer/registry here
         (see ``repro.obs``). The obs slot is absent by default, so the
         bytes-shipped accounting of an unobserved run is unchanged.
@@ -342,7 +315,7 @@ class ProcessMachine:
         ephemerals: list[str] = []
         futures: list = []
         try:
-            with tracer.span("machine.round_arrays", args={"tasks": len(specs)}):
+            with tracer.span("machine.round", args={"tasks": len(specs)}):
                 obs_req = None
                 if tracer.enabled or metrics.remote_collection:
                     obs_req = {
@@ -381,7 +354,7 @@ class ProcessMachine:
                     returned += len(blob)
                     status, value, *obs = pickle.loads(blob)
                     if status == "err":
-                        _note_task(value, i, len(specs))
+                        note_task(value, i, len(specs))
                         raise value
                     if obs:
                         events, delta = obs[0]
@@ -409,23 +382,13 @@ class ProcessMachine:
             self.tasks += len(specs)
             metrics.inc("transport.bytes_shipped", shipped)
             metrics.inc("transport.bytes_returned", returned)
-            self._account_round(len(specs))
-
-    def run_uniform_round(self, tasks):
-        """Uniform rounds degrade to plain rounds on real machines (the
-        vectorized batch cannot be split post hoc)."""
-        return self.run_round([t for t, _ in tasks])
-
-    def run_serial(self, thunk: Thunk):
-        """Run one sequential section in the parent process (full cost)."""
-        start = time.perf_counter()
-        result = thunk()
-        self._elapsed += time.perf_counter() - start
-        return result
+            # rounds are few: live metric increments fit the overhead budget
+            metrics.inc("machine.rounds", 1)
+            metrics.inc("machine.tasks", len(specs))
 
     @property
     def elapsed(self) -> float:
-        """Accumulated wall-clock time of all rounds/sections, in seconds."""
+        """Accumulated wall-clock time of all rounds, in seconds."""
         return self._elapsed
 
     def reset(self) -> None:
@@ -476,9 +439,3 @@ class ProcessMachine:
         if self._arena is not None:
             self._arena.close()
             self._arena = None
-
-    def __enter__(self) -> "ProcessMachine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

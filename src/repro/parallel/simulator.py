@@ -8,6 +8,9 @@ would take:
   greedy list scheduling in submission order (OpenMP ``static``-like) or
   longest-processing-time order (``dynamic``-like), and the round costs
   the makespan of that schedule;
+- a round given ``items=`` counts of identical-cost items (anti-diagonal
+  cells, bit-parallel blocks) costs its measured time split evenly over
+  the ``p`` workers instead (:meth:`SimulatedMachine.run_round`);
 - every round adds a barrier-synchronization overhead (the paper's
   Listing 4 discussion: "after the processing of each anti-diagonal, a
   synchronization of worker threads is required, which may introduce its
@@ -27,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .api import Thunk
+from .api import Machine, Spec, call_spec
 
 #: Defaults loosely calibrated to OpenMP runtime costs, scaled up to
 #: Python magnitudes (they are configurable per experiment).
@@ -51,7 +54,7 @@ class RoundStats:
 
 
 @dataclass
-class SimulatedMachine:
+class SimulatedMachine(Machine):
     """Deterministic cost-model machine (see module docstring).
 
     ``schedule`` is ``"static"`` (greedy in submission order) or
@@ -80,60 +83,44 @@ class SimulatedMachine:
 
     # -- protocol ------------------------------------------------------
 
-    def run_round(self, thunks: Sequence[Thunk]) -> list:
-        """Run *thunks* sequentially; account the simulated p-worker makespan.
+    def run_round(self, specs: Sequence[Spec], *, items: Sequence[int] | None = None) -> list:
+        """Run *specs* sequentially; account the simulated p-worker cost.
 
-        Returns the results in submission order. The simulated clock
-        (:attr:`elapsed`, seconds) advances by the schedule's makespan
-        plus one sync overhead plus per-task spawn overheads.
+        Returns the results in submission order. Without ``items`` the
+        measured task durations are list-scheduled on ``p`` workers and
+        the clock (:attr:`elapsed`, seconds) advances by the makespan
+        plus one sync overhead plus one spawn overhead per task.
+
+        ``items`` (one count per spec) marks a round of identical-cost
+        items, each spec vectorized over its own item batch: the measured
+        time ``T`` of the whole round is scaled by ``ceil(N/p) / N`` for
+        ``N`` items in total, since with the items spread evenly over
+        ``p`` workers the busiest holds ``ceil(N/p)`` of them. Short
+        rounds (``N < p``) thus retain cost ``T/N`` per item — the load
+        imbalance of short anti-diagonals emerges naturally — and only
+        ``min(p, N)`` workers spawn. This models data-parallel inner
+        loops without paying NumPy dispatch overhead per chunk.
         """
+        n = len(specs)
         durations = []
         results = []
-        for t in thunks:
+        for i, spec in enumerate(specs):
             start = time.perf_counter()
-            results.append(t())
+            results.append(call_spec(spec, i, n))
             durations.append(time.perf_counter() - start)
-        makespan = self.makespan(durations)
-        self._elapsed += makespan + self.sync_overhead + self.spawn_overhead * len(thunks)
+        total = sum(durations)
+        if not items:
+            tasks = n
+            makespan = self.makespan(durations)
+        else:
+            n_items = sum(max(1, int(k)) for k in items)
+            makespan = total * -(-n_items // self.workers) / n_items
+            tasks = min(self.workers, n_items)
+        self._elapsed += makespan + self.sync_overhead + self.spawn_overhead * tasks
         self.rounds += 1
-        self.tasks += len(thunks)
-        self.round_log.append(RoundStats(len(thunks), sum(durations), makespan))
+        self.tasks += tasks
+        self.round_log.append(RoundStats(tasks, total, makespan))
         return results
-
-    def run_uniform_round(self, tasks: Sequence[tuple[Thunk, int]]) -> list:
-        """Round of identical-cost items, each task vectorized over its
-        own item batch (see :class:`repro.parallel.api.Machine`).
-
-        The measured batch time is scaled by ``ceil(N/p) / N``: with the
-        items spread evenly over ``p`` workers, the busiest worker holds
-        ``ceil(N/p)`` of the ``N`` items. Short rounds (``N < p``) thus
-        retain cost ``T/N`` per item — the load imbalance of short
-        anti-diagonals emerges naturally.
-        """
-        results = []
-        total_time = 0.0
-        total_items = 0
-        for thunk, n_items in tasks:
-            start = time.perf_counter()
-            results.append(thunk())
-            total_time += time.perf_counter() - start
-            total_items += max(1, int(n_items))
-        p = self.workers
-        busiest = -(-total_items // p)  # ceil
-        makespan = total_time * busiest / total_items
-        active_workers = min(p, total_items)
-        self._elapsed += makespan + self.sync_overhead + self.spawn_overhead * active_workers
-        self.rounds += 1
-        self.tasks += active_workers
-        self.round_log.append(RoundStats(active_workers, total_time, makespan))
-        return results
-
-    def run_serial(self, thunk: Thunk):
-        """Run one sequential section, accounted at full measured cost."""
-        start = time.perf_counter()
-        result = thunk()
-        self._elapsed += time.perf_counter() - start
-        return result
 
     @property
     def elapsed(self) -> float:

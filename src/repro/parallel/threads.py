@@ -24,10 +24,10 @@ from typing import Sequence
 
 from ..errors import BackendError, TaskTimeoutError
 from ..obs import get_metrics, get_tracer
-from .api import Thunk
+from .api import Machine, Spec, call_spec
 
 
-class ThreadMachine:
+class ThreadMachine(Machine):
     """Executes rounds on a shared ``ThreadPoolExecutor``.
 
     Counters: ``rounds`` / ``tasks`` count submitted work (plain ints,
@@ -50,26 +50,34 @@ class ThreadMachine:
         self.rounds = 0
         self.tasks = 0
 
-    def run_round(self, thunks: Sequence[Thunk], *, timeout: float | None = None) -> list:
-        """Run *thunks* concurrently as one round; ``timeout`` (seconds)
-        is a single deadline shared by the whole round."""
+    def run_round(
+        self,
+        specs: Sequence[Spec],
+        *,
+        items: Sequence[int] | None = None,
+        timeout: float | None = None,
+    ) -> list:
+        """Run *specs* concurrently as one round; ``timeout`` (seconds)
+        is a single deadline shared by the whole round. ``items`` is
+        ignored."""
         if self._pool is None:
             raise BackendError("machine is closed")
         start = time.perf_counter()
-        span = get_tracer().span("machine.round", args={"tasks": len(thunks)})
+        span = get_tracer().span("machine.round", args={"tasks": len(specs)})
         try:
             with span:
-                return self._run_round_inner(thunks, timeout)
+                return self._run_round_inner(specs, timeout)
         finally:
             self._elapsed += time.perf_counter() - start
             self.rounds += 1
-            self.tasks += len(thunks)
+            self.tasks += len(specs)
             metrics = get_metrics()
             metrics.inc("machine.rounds", 1)
-            metrics.inc("machine.tasks", len(thunks))
+            metrics.inc("machine.tasks", len(specs))
 
-    def _run_round_inner(self, thunks: Sequence[Thunk], timeout: float | None) -> list:
-        futures = [self._pool.submit(t) for t in thunks]
+    def _run_round_inner(self, specs: Sequence[Spec], timeout: float | None) -> list:
+        n = len(specs)
+        futures = [self._pool.submit(call_spec, spec, i, n) for i, spec in enumerate(specs)]
         results = []
         # a single round deadline shared across the in-order waits —
         # per-task timeouts would let a k-task round wait k x timeout
@@ -94,21 +102,9 @@ class ThreadMachine:
             raise
         return results
 
-    def run_uniform_round(self, tasks):
-        """Uniform rounds degrade to plain rounds on real machines (the
-        vectorized batch cannot be split post hoc)."""
-        return self.run_round([t for t, _ in tasks])
-
-    def run_serial(self, thunk: Thunk):
-        """Run one sequential section on the calling thread (full cost)."""
-        start = time.perf_counter()
-        result = thunk()
-        self._elapsed += time.perf_counter() - start
-        return result
-
     @property
     def elapsed(self) -> float:
-        """Accumulated wall-clock time of all rounds/sections, in seconds."""
+        """Accumulated wall-clock time of all rounds, in seconds."""
         return self._elapsed
 
     def reset(self) -> None:
@@ -138,9 +134,3 @@ class ThreadMachine:
     def close(self) -> None:
         """Shut the executor down (idempotent); :meth:`rebuild` revives."""
         self._stop_pool()
-
-    def __enter__(self) -> "ThreadMachine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

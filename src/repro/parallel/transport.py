@@ -23,6 +23,12 @@ the Python analogue:
   pickled payload, giving the machine exact bytes-shipped accounting for
   both transports.
 
+Call sites never touch this module: they use the transport surface of
+:class:`~repro.parallel.api.Machine` (``broadcast``, ``localize``,
+``release_arrays``, ``slab``, ``recycle_slabs``), which is an identity
+or a no-op on every machine but the shared-memory process pool, and
+ship their work through the one round primitive, ``run_round``.
+
 Lifecycle: the arena owns (or adopts) every segment it names, refcounts
 them (:meth:`SharedArena.retain` / :meth:`SharedArena.release`), and
 :meth:`SharedArena.close` unlinks everything — including a sweep for
@@ -48,10 +54,9 @@ import atexit
 import os
 import pickle
 import uuid
-import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -525,71 +530,3 @@ def run_chunk(payload: bytes) -> bytes:
         if status[0] == "err":
             return pickle.dumps(("err", RuntimeError(repr(status[1]))))
         raise
-
-
-# ---------------------------------------------------------------------------
-# Call-site helpers: transport-agnostic machine access
-# ---------------------------------------------------------------------------
-
-
-def machine_broadcast(machine, *arrays: np.ndarray) -> tuple:
-    """One-time broadcast of *arrays* to the machine's workers.
-
-    Shared-memory machines copy each array into the arena once and
-    return arena-backed views (whose slices ship as handles); everything
-    else returns the arrays unchanged.
-    """
-    bc = getattr(machine, "broadcast", None)
-    if bc is None:
-        return arrays
-    return bc(*arrays)
-
-
-def run_array_round(machine, specs: Sequence[tuple[Callable, tuple, dict]]) -> list:
-    """Run one round of ``(fn, args, kwargs)`` specs on any machine.
-
-    Machines with an array transport ship handles for arena-backed args;
-    in-process machines execute the specs as plain thunks.
-    """
-    rr = getattr(machine, "run_round_arrays", None)
-    if rr is not None:
-        return rr(specs)
-    from functools import partial
-
-    return machine.run_round([partial(fn, *args, **kwargs) for fn, args, kwargs in specs])
-
-
-def machine_slab(machine, shape: tuple, dtype) -> np.ndarray:
-    """A reusable scratch array from the machine's slab pool, or a plain
-    local array when the machine has no shared-memory slabs. Contents are
-    uninitialized either way."""
-    slab = getattr(machine, "slab", None)
-    if slab is None:
-        return np.empty(shape, dtype=dtype)
-    return slab(shape, dtype)
-
-
-def machine_recycle_slabs(machine, arrays) -> None:
-    """Return slab-backed *arrays* to the machine's pool (no-op for plain
-    arrays or machines without a slab pool). Call only once no round
-    still reads the slabs."""
-    rec = getattr(machine, "recycle_slabs", None)
-    if rec is not None:
-        rec(arrays)
-
-
-def machine_localize(machine, arr):
-    """Copy *arr* out of the machine's arena (if it lives there) so it
-    survives ``machine.close()``; identity otherwise."""
-    loc = getattr(machine, "localize", None)
-    if loc is None:
-        return arr
-    return loc(arr)
-
-
-def machine_release(machine, *arrays) -> None:
-    """Release the shared segments backing *arrays*, if any. Call only
-    once no future round will ship these arrays again."""
-    rel = getattr(machine, "release_arrays", None)
-    if rel is not None:
-        rel(arrays)

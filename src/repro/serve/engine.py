@@ -37,7 +37,7 @@ from typing import Sequence
 from ..batch import BatchScheduler
 from ..errors import EngineClosedError
 from ..obs import collect_machine
-from ..parallel import FaultPolicy, make_machine
+from ..parallel import FaultPolicy, ResilientMachine, make_machine
 
 __all__ = ["Engine"]
 
@@ -179,9 +179,7 @@ class Engine:
             machine, self.machine, self.scheduler = self.machine, None, None
         if machine is not None:
             collect_machine(machine)
-            close = getattr(machine, "close", None)
-            if close is not None:
-                close()
+            machine.close()
 
     def __enter__(self) -> "Engine":
         return self.start()
@@ -295,10 +293,9 @@ class Engine:
         }
         info["query"] = self.query.stats() if self.query is not None else {}
         machine = self.machine
-        health = getattr(machine, "health", None)
-        info["resilience"] = health() if health is not None else {}
-        stats = getattr(machine, "transport_stats", None)
-        info["transport"] = stats() if stats is not None else {}
+        resilient = isinstance(machine, ResilientMachine)
+        info["resilience"] = machine.health() if resilient else {}
+        info["transport"] = machine.transport_stats() if machine is not None else {}
         scheduler = self.scheduler
         info["last_batch"] = dict(scheduler.last_stats) if scheduler is not None else {}
         return info

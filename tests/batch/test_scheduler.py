@@ -184,7 +184,7 @@ def test_pool_batch_is_one_round_largest_first(rng):
     submitted = []
     metrics = get_metrics()
     with ProcessMachine(workers=2, transport="shm") as machine:
-        run = machine.run_round_arrays
+        run = machine.run_round
 
         def spy(specs, **kw):
             submitted.append(
@@ -192,7 +192,7 @@ def test_pool_batch_is_one_round_largest_first(rng):
             )
             return run(specs, **kw)
 
-        machine.run_round_arrays = spy
+        machine.run_round = spy
         before = {name: metrics.get(name).value for name in ("machine.rounds", "machine.tasks")}
         scores = batch_lcs(pairs, machine=machine)
         assert metrics.get("machine.rounds").value - before["machine.rounds"] == 1

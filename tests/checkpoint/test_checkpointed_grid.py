@@ -17,6 +17,7 @@ from repro.core.combing.iterative import iterative_combing_rowmajor
 from repro.core.combing.parallel import parallel_hybrid_combing_grid
 from repro.obs import get_metrics
 from repro.parallel import (
+    ChaosError,
     ChaosMachine,
     ChaosProcessDeath,
     FaultPolicy,
@@ -26,7 +27,6 @@ from repro.parallel import (
     ThreadMachine,
     shared_memory_available,
 )
-from repro.parallel.transport import run_array_round
 
 from ..conftest import random_codes
 
@@ -292,7 +292,7 @@ class TestParallelCheckpointing:
             machine = ResilientMachine(
                 SerialMachine(), FaultPolicy(max_retries=1), sleep=lambda s: None
             )
-            (got,) = run_array_round(machine, [(fn, args, {})])
+            (got,) = machine.run_round([(fn, args, {})])
             ckpt.finish()
             assert np.array_equal(got, PERM)
             assert len(calls) == 1 and machine.retries == 1
@@ -316,7 +316,7 @@ class TestParallelCheckpointing:
         machine = ResilientMachine(
             SerialMachine(), FaultPolicy(max_retries=2), sleep=lambda s: None
         )
-        (got,) = run_array_round(machine, [(fn, args, {})])
+        (got,) = machine.run_round([(fn, args, {})])
         ckpt.finish()
         assert np.array_equal(got, PERM)
         assert len(calls) == 2
@@ -348,3 +348,32 @@ class TestParallelCheckpointing:
         assert machine.pool_rebuilds >= 1
         assert delta["hits"] >= 1
         assert delta["writes"] <= 4 + 2 + 1  # leaves, level 1, root
+
+
+class TestJournalClosedOnError:
+    """A checkpointed grid call that raises closes its journal without
+    marking the run done (no descriptor left for garbage collection)."""
+
+    def test_parallel_grid_task_error(self, tmp_path, rng):
+        a, b = random_codes(rng, 40), random_codes(rng, 30)
+        _, ckpt = checkpointer(tmp_path)
+        with ThreadMachine(2) as pool:
+            with pytest.raises(ChaosError):
+                parallel_hybrid_combing_grid(
+                    a, b, ChaosMachine(pool, fail_rate=1.0), checkpoint=ckpt
+                )
+        assert ckpt.journal._fh is None
+        assert not ckpt.journal.done
+
+    def test_serial_grid_compose_error(self, tmp_path, rng):
+        a, b = random_codes(rng, 40), random_codes(rng, 30)
+        _, ckpt = checkpointer(tmp_path)
+
+        def broken_multiply(p, q):
+            raise RuntimeError("multiply failed")
+
+        with pytest.raises(RuntimeError, match="multiply failed"):
+            hybrid_combing_grid(a, b, 4, multiply=broken_multiply, checkpoint=ckpt)
+        assert ckpt.journal._fh is None
+        assert not ckpt.journal.done
+

@@ -9,7 +9,14 @@ from repro.core.combing.parallel import (
     parallel_iterative_combing,
     parallel_load_balanced_combing,
 )
-from repro.parallel import SerialMachine, SimulatedMachine, ThreadMachine
+from repro.errors import BackendError
+from repro.parallel import (
+    ProcessMachine,
+    ResilientMachine,
+    SerialMachine,
+    SimulatedMachine,
+    ThreadMachine,
+)
 
 from ...conftest import random_codes, random_pair
 
@@ -79,3 +86,23 @@ class TestAccounting:
         with ThreadMachine(workers=2) as machine:
             got = parallel_iterative_combing(a, b, machine)
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+
+
+@pytest.mark.parametrize(
+    "fn", [parallel_iterative_combing, parallel_load_balanced_combing], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda m: m, ResilientMachine], ids=["processes", "resilient-processes"]
+)
+class TestWavefrontRejectsProcessPool:
+    def test_raises_before_first_round(self, fn, wrap, rng):
+        """The wavefront combers update strand arrays in place, which a
+        worker process cannot do: they refuse a pool instead of failing
+        every round and degrading to serial."""
+        a, b = random_pair(rng, max_len=10)
+        with ProcessMachine(2) as pool:
+            machine = wrap(pool)
+            with pytest.raises(BackendError, match="in place"):
+                fn(a, b, machine)
+            assert pool.rounds == 0
+

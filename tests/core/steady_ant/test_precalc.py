@@ -80,7 +80,7 @@ class TestWarmOnce:
         once each and answer the rest from cache; the hit counter rides
         home in the round's metric delta."""
         from repro.obs import get_metrics
-        from repro.parallel import ProcessMachine, run_array_round
+        from repro.parallel import ProcessMachine
 
         metrics = get_metrics()
         hits_before = metrics.get("steady_ant.precalc_hits").value
@@ -93,7 +93,7 @@ class TestWarmOnce:
         metrics.remote_collection = True
         try:
             with ProcessMachine(workers=2) as machine:
-                results = run_array_round(machine, specs)
+                results = machine.run_round(specs)
         finally:
             metrics.remote_collection = prev
         assert len(results) == 8

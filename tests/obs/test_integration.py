@@ -49,6 +49,10 @@ def obs_on():
     metrics.reset()
 
 
+def _identity(x):
+    return x
+
+
 def _observed_leaf(x):
     """Worker-side task: bumps a counter so the delta must ship home."""
     get_metrics().counter("obs_test.leaf_calls").inc(1)
@@ -60,14 +64,14 @@ class TestCrossProcess:
         tracer, metrics = obs_on
         specs = [(_observed_leaf, (i,), {}) for i in range(4)]
         with ProcessMachine(workers=2) as machine:
-            assert machine.run_round_arrays(specs) == [0, 2, 4, 6]
+            assert machine.run_round(specs) == [0, 2, 4, 6]
             # second round on the same (reused) workers: the worker-side
             # counter keeps its old value, so only snapshot *deltas* keep
             # the parent total honest
-            assert machine.run_round_arrays(specs) == [0, 2, 4, 6]
+            assert machine.run_round(specs) == [0, 2, 4, 6]
 
         events = tracer.events()
-        rounds = [e for e in events if e["name"] == "machine.round_arrays"]
+        rounds = [e for e in events if e["name"] == "machine.round"]
         assert len(rounds) == 2
         chunks = [e for e in events if e["name"] == "worker.chunk"]
         assert chunks
@@ -82,7 +86,7 @@ class TestCrossProcess:
         tracer.reset()
         specs = [(_observed_leaf, (i,), {}) for i in range(2)]
         with ProcessMachine(workers=1) as machine:
-            assert machine.run_round_arrays(specs) == [0, 2]
+            assert machine.run_round(specs) == [0, 2]
         assert tracer.events() == []
 
 
@@ -90,7 +94,7 @@ class TestRebuildCounterCarry:
     def test_chaos_counters_survive_rebuild(self):
         m = ChaosMachine(SerialMachine(), fail_rate=1.0, seed=0)
         with pytest.raises(BackendError):
-            m.run_round([lambda: 1])
+            m.run_round([(lambda: 1, (), {})])
         assert m.injected_failures == 1
         log = list(m.fault_log)
         inner_rounds = m.inner.rounds
@@ -105,7 +109,7 @@ class TestRebuildCounterCarry:
             FaultPolicy(max_retries=5, **FAST),
             **NO_SLEEP,
         )
-        assert m.run_round([lambda k=k: k for k in range(8)]) == list(range(8))
+        assert m.run_round([(_identity, (k,), {}) for k in range(8)]) == list(range(8))
         health = m.health()
         inner_failures = m.inner.injected_failures
         m.rebuild()
@@ -135,7 +139,7 @@ def test_counters_nonnegative_and_monotone_under_chaos(fail_rate, crash_rate, se
     for _ in range(5):
         with contextlib.suppress(Exception), warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            machine.run_round([lambda k=k: k for k in range(4)])  # failures are fine
+            machine.run_round([(_identity, (k,), {}) for k in range(4)])  # failures are fine
         snapshot = metrics.snapshot()
         for name, payload in snapshot.items():
             if metrics.get(name).kind != "counter":

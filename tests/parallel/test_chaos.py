@@ -6,12 +6,16 @@ from repro.errors import BackendError, WorkerCrashError
 from repro.parallel import ChaosError, ChaosMachine, SerialMachine
 
 
+def const(value):
+    return (lambda: value, (), {})
+
+
 def _run_many(machine, rounds=30, tasks=4):
     """Drive *machine* through identical rounds, recording outcomes."""
     outcomes = []
     for r in range(rounds):
         try:
-            machine.run_round([lambda k=k: k for k in range(tasks)])
+            machine.run_round([const(k) for k in range(tasks)])
             outcomes.append("ok")
         except ChaosError as exc:
             outcomes.append(f"fail@{exc.task_index}")
@@ -46,7 +50,7 @@ class TestDeterminism:
         successes = failures = 0
         for _ in range(100):
             try:
-                assert m.run_round([lambda: "done"]) == ["done"]
+                assert m.run_round([const("done")]) == ["done"]
                 successes += 1
             except ChaosError:
                 failures += 1
@@ -57,12 +61,12 @@ class TestFaultKinds:
     def test_injected_failure_is_backend_error(self):
         m = ChaosMachine(SerialMachine(), fail_rate=1.0, seed=0)
         with pytest.raises(BackendError):
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
 
     def test_injected_crash_is_worker_crash(self):
         m = ChaosMachine(SerialMachine(), crash_rate=1.0, seed=0)
         with pytest.raises(WorkerCrashError):
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
 
     def test_fault_preempts_task(self):
         """The injected fault fires instead of the task: no half-applied
@@ -70,20 +74,21 @@ class TestFaultKinds:
         ran = []
         m = ChaosMachine(SerialMachine(), fail_rate=1.0, seed=0)
         with pytest.raises(ChaosError):
-            m.run_round([lambda: ran.append(1)])
+            m.run_round([(ran.append, (1,), {})])
         assert ran == []
 
     def test_delay_injection(self):
         m = ChaosMachine(SerialMachine(), delay_rate=1.0, delay=0.001, seed=0)
-        assert m.run_round([lambda: 5]) == [5]
+        assert m.run_round([const(5)]) == [5]
         assert m.injected_delays == 1
 
     def test_uniform_round_and_serial_are_faultable(self):
+        # an items round, and a one-task round (a sequential section)
         m = ChaosMachine(SerialMachine(), fail_rate=1.0, seed=0)
         with pytest.raises(ChaosError):
-            m.run_uniform_round([(lambda: 1, 3)])
+            m.run_round([const(1)], items=[3])
         with pytest.raises(ChaosError):
-            m.run_serial(lambda: 1)
+            m.run_round([const(1)])
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -95,7 +100,7 @@ class TestFaultKinds:
 class TestDelegation:
     def test_results_and_accounting_pass_through(self):
         m = ChaosMachine(SerialMachine(), seed=0)
-        assert m.run_round([lambda: 2, lambda: 3]) == [2, 3]
+        assert m.run_round([const(2), const(3)]) == [2, 3]
         assert m.elapsed > 0
         m.reset()
         assert m.elapsed == 0

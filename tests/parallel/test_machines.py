@@ -22,6 +22,10 @@ def _square(x):
     return x * x
 
 
+def _const(x):
+    return x
+
+
 def _raise(msg):
     raise ValueError(msg)
 
@@ -34,12 +38,12 @@ def _sleep_and_return(seconds, value):
 class TestSerialMachine:
     def test_round_results(self):
         m = SerialMachine()
-        assert m.run_round([lambda: 1, lambda: "a"]) == [1, "a"]
+        assert m.run_round([(_const, (1,), {}), (_const, ("a",), {})]) == [1, "a"]
         assert m.rounds == 1 and m.tasks == 2
 
     def test_elapsed_accumulates(self):
         m = SerialMachine()
-        m.run_round([lambda: sum(range(1000))])
+        m.run_round([(sum, (range(1000),), {})])
         assert m.elapsed > 0
         m.reset()
         assert m.elapsed == 0
@@ -52,12 +56,8 @@ class TestSerialMachine:
 class TestThreadMachine:
     def test_round_results_ordered(self):
         with ThreadMachine(workers=3) as m:
-            out = m.run_round([lambda k=k: k for k in range(7)])
+            out = m.run_round([(_const, (k,), {}) for k in range(7)])
         assert out == list(range(7))
-
-    def test_run_serial(self):
-        with ThreadMachine(workers=2) as m:
-            assert m.run_serial(lambda: 5) == 5
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -67,17 +67,17 @@ class TestThreadMachine:
 class TestProcessMachine:
     def test_round_spec(self):
         with ProcessMachine(workers=2) as m:
-            out = m.run_round_arrays([(_square, (k,), {}) for k in range(5)])
+            out = m.run_round([(_square, (k,), {}) for k in range(5)])
         assert out == [0, 1, 4, 9, 16]
 
     def test_numpy_payload(self):
         with ProcessMachine(workers=2) as m:
-            out = m.run_round_arrays([(np.sum, (np.arange(10),), {})])
+            out = m.run_round([(np.sum, (np.arange(10),), {})])
         assert out == [45]
 
     def test_accounting(self):
         with ProcessMachine(workers=2) as m:
-            m.run_round_arrays([(_square, (2,), {})])
+            m.run_round([(_square, (2,), {})])
             assert m.rounds == 1 and m.tasks == 1 and m.elapsed > 0
 
     def test_invalid_workers(self):
@@ -91,7 +91,7 @@ class TestProcessMachineFailureSemantics:
             futures_after = []
             with pytest.raises(ValueError) as info:
                 # one worker: the failing first task guarantees pending siblings
-                m.run_round_arrays(
+                m.run_round(
                     [(_raise, ("boom",), {})]
                     + [(_sleep_and_return, (0.2, k), {}) for k in range(6)]
                 )
@@ -101,14 +101,14 @@ class TestProcessMachineFailureSemantics:
     def test_timeout_raises_task_timeout_error(self):
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
-                m.run_round_arrays([(_sleep_and_return, (5.0, 1), {})], timeout=0.2)
+                m.run_round([(_sleep_and_return, (5.0, 1), {})], timeout=0.2)
             assert info.value.task_index == 0
 
     def test_timeout_names_tasks_not_chunks(self):
         # one future per spec: the late fourth spec is named exactly
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
-                m.run_round_arrays(
+                m.run_round(
                     [(_sleep_and_return, (0.0, k), {}) for k in range(3)]
                     + [(_sleep_and_return, (1.0, 3), {})],
                     timeout=0.5,
@@ -117,7 +117,7 @@ class TestProcessMachineFailureSemantics:
             assert "task 3" in str(info.value)
         with ProcessMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError) as info:
-                m.run_round_arrays(
+                m.run_round(
                     [(_sleep_and_return, (0.0, k), {}) for k in range(2)]
                     + [(_sleep_and_return, (1.0, 2), {})],
                     timeout=0.5,
@@ -133,13 +133,13 @@ class TestProcessMachineFailureSemantics:
         try:
             late = (_sleep_and_return, (5.0, np.arange(100_000)), {})
             with pytest.raises(TaskTimeoutError):
-                m.run_round_arrays([late], timeout=0.2)
+                m.run_round([late], timeout=0.2)
             start = time.monotonic()
             m.rebuild()
             assert time.monotonic() - start < 1.0
-            assert m.run_round_arrays([(_square, (3,), {})]) == [9]
+            assert m.run_round([(_square, (3,), {})]) == [9]
             with pytest.raises(TaskTimeoutError):
-                m.run_round_arrays([late], timeout=0.2)
+                m.run_round([late], timeout=0.2)
         finally:
             start = time.monotonic()
             m.close()
@@ -151,14 +151,14 @@ class TestProcessMachineFailureSemantics:
         m.close()
         m.close()  # second close must not raise
         with pytest.raises(BackendError):
-            m.run_round_arrays([(_square, (2,), {})])
+            m.run_round([(_square, (2,), {})])
 
     def test_rebuild_gives_fresh_pool(self):
         m = ProcessMachine(workers=1)
         m.close()
         m.rebuild()
         try:
-            assert m.run_round_arrays([(_square, (3,), {})]) == [9]
+            assert m.run_round([(_square, (3,), {})]) == [9]
         finally:
             m.close()
 
@@ -167,7 +167,7 @@ class TestThreadMachineFailureSemantics:
     def test_timeout(self):
         with ThreadMachine(workers=1) as m:
             with pytest.raises(TaskTimeoutError):
-                m.run_round([lambda: time.sleep(5)], timeout=0.1)
+                m.run_round([(time.sleep, (5,), {})], timeout=0.1)
 
     def test_timeout_is_a_round_deadline_not_per_task(self):
         """4 x 0.12s tasks on 1 worker: each individual wait stays under a
@@ -176,7 +176,7 @@ class TestThreadMachineFailureSemantics:
         with ThreadMachine(workers=1) as m:
             start = time.monotonic()
             with pytest.raises(TaskTimeoutError):
-                m.run_round([lambda: time.sleep(0.12) for _ in range(4)], timeout=0.25)
+                m.run_round([(time.sleep, (0.12,), {})] * 4, timeout=0.25)
             # and it must trip at the deadline, not after 4 x 0.25s
             assert time.monotonic() - start < 1.0
 
@@ -185,7 +185,7 @@ class TestThreadMachineFailureSemantics:
         m = ThreadMachine(workers=1)
         try:
             with pytest.raises(TaskTimeoutError):
-                m.run_round([lambda: release.wait(5)], timeout=0.1)
+                m.run_round([(release.wait, (5,), {})], timeout=0.1)
             start = time.monotonic()
             m.close()
             assert time.monotonic() - start < 1.0
@@ -197,7 +197,7 @@ class TestThreadMachineFailureSemantics:
         m.close()
         m.close()
         with pytest.raises(BackendError):
-            m.run_round([lambda: 1])
+            m.run_round([(_const, (1,), {})])
 
 
 class TestRealParallelSteadyAnt:

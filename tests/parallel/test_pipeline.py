@@ -20,8 +20,6 @@ from repro.parallel import (
     ProcessMachine,
     ResilientMachine,
     SerialMachine,
-    machine_recycle_slabs,
-    machine_slab,
     shared_memory_available,
 )
 from repro.parallel.transport import SharedArena
@@ -82,16 +80,16 @@ class TestSlabPool:
             arena.close()
 
     def test_machine_slab_fallback_without_pool(self):
-        arr = machine_slab(SerialMachine(), (3, 3), np.int32)
+        arr = SerialMachine().slab((3, 3), np.int32)
         assert arr.shape == (3, 3) and arr.dtype == np.int32
-        machine_recycle_slabs(SerialMachine(), [arr])  # no-op, no error
+        SerialMachine().recycle_slabs([arr])  # no-op, no error
 
 
 class TestArrayRounds:
     def test_rounds_accounting(self):
         with ProcessMachine(workers=2, transport="shm") as machine:
-            machine.run_round_arrays([(_double, (np.arange(4),), {})])
-            machine.run_round_arrays([(_double, (np.arange(4),), {})])
+            machine.run_round([(_double, (np.arange(4),), {})])
+            machine.run_round([(_double, (np.arange(4),), {})])
             assert machine.rounds == 2
             assert machine.tasks == 2
 
@@ -99,7 +97,7 @@ class TestArrayRounds:
         with ProcessMachine(workers=2, transport="shm") as machine:
             specs = [(_double, (np.arange(4),), {}), (_boom, (1,), {})]
             with pytest.raises(RuntimeError, match="boom") as err:
-                machine.run_round_arrays(specs)
+                machine.run_round(specs)
         if sys.version_info >= (3, 11):  # add_note exists
             notes = getattr(err.value, "__notes__", [])
             assert any("task 1" in note for note in notes)
@@ -111,7 +109,7 @@ class TestArrayRounds:
             a[...] = 1.0
             b[...] = 2.0
             before = machine.bytes_shipped
-            (result,) = machine.run_round_arrays([(_total, (a, b), {})])
+            (result,) = machine.run_round([(_total, (a, b), {})])
             assert result == a.size * 3.0
             # two 4 KiB arrays travelled as compact handles, not pickles
             assert machine.bytes_shipped - before < a.nbytes
@@ -132,7 +130,7 @@ class TestResilientArrayRounds:
             specs = [(_double, (np.arange(8),), {"k": 5})]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                (result,) = machine.run_round_arrays(specs)
+                (result,) = machine.run_round(specs)
         assert np.array_equal(result, np.arange(8) * 5)
 
     def test_chaos_without_recovery_raises(self):
@@ -140,4 +138,4 @@ class TestResilientArrayRounds:
             chaotic = ChaosMachine(inner, fail_rate=1.0, seed=7)
             specs = [(_double, (np.arange(4),), {})]
             with pytest.raises(ChaosError):
-                chaotic.run_round_arrays(specs)
+                chaotic.run_round(specs)

@@ -3,7 +3,6 @@ and the acceptance scenarios from the paper call sites."""
 
 import random
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +32,14 @@ from repro.parallel import (
 
 NO_SLEEP = dict(sleep=lambda s: None)
 FAST = dict(backoff_base=0.0, jitter=0.0)
+
+
+def const(value):
+    return (lambda: value, (), {})
+
+
+def call(fn):
+    return (fn, (), {})
 
 
 def chaotic(policy=None, **chaos):
@@ -88,10 +95,10 @@ class TestProtocolConformance:
 
     def test_transparent_when_healthy(self):
         m = ResilientMachine(SerialMachine())
-        assert m.run_round([lambda: 1, lambda: 2]) == [1, 2]
-        assert m.run_uniform_round([(lambda: 3, 2)]) == [3]
-        assert m.run_serial(lambda: 4) == 4
-        assert m.run_round_arrays([(int, ("5",), {})]) == [5]
+        assert m.run_round([const(1), const(2)]) == [1, 2]
+        assert m.run_round([const(3)], items=[2]) == [3]
+        assert m.run_round([const(4)]) == [4]
+        assert m.run_round([(int, ("5",), {})]) == [5]
         assert m.elapsed > 0
         assert m.health()["task_failures"] == 0
         m.reset()
@@ -101,7 +108,7 @@ class TestProtocolConformance:
 class TestRetries:
     def test_transient_failures_recovered(self):
         m = chaotic(fail_rate=0.4, seed=3)
-        out = m.run_round([lambda k=k: k for k in range(20)])
+        out = m.run_round([const(k) for k in range(20)])
         assert out == list(range(20))
         assert m.retries > 0
         assert m.recovered_rounds >= 1
@@ -119,7 +126,7 @@ class TestRetries:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            out = m.run_round([partial(bump, k) for k in range(6)])
+            out = m.run_round([(bump, (k,), {}) for k in range(6)])
         assert out == list(range(6))
         assert max(counts) == 1  # nothing double-applied
 
@@ -129,7 +136,7 @@ class TestRetries:
             crash_rate=1.0,
         )
         with pytest.raises(RoundFailedError):
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
 
     def test_retries_disabled_degradation_disabled(self):
         m = chaotic(
@@ -137,7 +144,7 @@ class TestRetries:
             fail_rate=1.0,
         )
         with pytest.raises(RoundFailedError):
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
 
     def test_backoff_sleeps_are_called(self):
         slept = []
@@ -148,7 +155,7 @@ class TestRetries:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
         assert slept == [0.25, 0.5]
 
 
@@ -160,7 +167,7 @@ class TestDegradation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(5):
-                assert m.run_round([lambda: 1, lambda: 2]) == [1, 2]
+                assert m.run_round([const(1), const(2)]) == [1, 2]
         degraded = [w for w in caught if issubclass(w.category, DegradedExecutionWarning)]
         assert len(degraded) == 1
         assert m.degraded_rounds >= 1
@@ -172,12 +179,12 @@ class TestDegradation:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            m.run_round([lambda: 1])
+            m.run_round([const(1)])
             assert not m.permanently_degraded
-            m.run_round([lambda: 2])
+            m.run_round([const(2)])
         assert m.permanently_degraded
         # subsequent rounds run serially and still return results
-        assert m.run_round([lambda: 3]) == [3]
+        assert m.run_round([const(3)]) == [3]
         assert m.health()["permanently_degraded"] is True
 
     def test_degraded_serial_bypasses_faulty_backend(self):
@@ -185,8 +192,8 @@ class TestDegradation:
         m = chaotic(policy=FaultPolicy(max_retries=1, **FAST), crash_rate=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            assert m.run_serial(lambda: "s") == "s"
-            assert m.run_uniform_round([(lambda: "u", 4)]) == ["u"]
+            assert m.run_round([const("s")]) == ["s"]
+            assert m.run_round([const("u")], items=[4]) == ["u"]
 
     def test_genuine_task_error_resurfaces_through_degradation(self):
         """A deterministic task bug is not masked: the serial fallback
@@ -199,7 +206,24 @@ class TestDegradation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
             with pytest.raises(ZeroDivisionError):
-                m.run_round([boom])
+                m.run_round([call(boom)])
+
+
+class TestHealthMetrics:
+    def test_health_counters_match_metric_deltas(self):
+        """Every fault counted in health() reaches its resilience.*
+        metric, the failed retry attempts included."""
+        from repro.obs import get_metrics
+
+        metrics = get_metrics()
+        m = chaotic(policy=FaultPolicy(max_retries=5, **FAST), fail_rate=0.5, seed=3)
+        names = [k for k in m.health() if k != "permanently_degraded"]
+        before = {k: metrics.get(f"resilience.{k}").value for k in names}
+        assert m.run_round([const(k) for k in range(8)]) == list(range(8))
+        health = m.health()
+        assert health["task_failures"] > 1  # retries failed too
+        for k in names:
+            assert metrics.get(f"resilience.{k}").value - before[k] == health[k], k
 
 
 class TestTimeouts:
@@ -224,7 +248,7 @@ class TestTimeouts:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedExecutionWarning)
-            assert m.run_round([flaky_slow]) == [9]
+            assert m.run_round([call(flaky_slow)]) == [9]
         assert m.timeouts >= 1
 
 
@@ -303,8 +327,8 @@ class TestCloseIdempotence:
             self.closes = 0
             self.rebuilds = 0
 
-        def run_round_arrays(self, tasks):
-            return [fn(*a, **kw) for fn, a, kw in tasks]
+        def run_round(self, specs, *, items=None):
+            return [fn(*a, **kw) for fn, a, kw in specs]
 
         def close(self):
             self.closes += 1
@@ -353,7 +377,7 @@ class TestProcessBackendRecovery:
         flag = tmp_path / "crashed-once"
         with ProcessMachine(workers=2) as inner:
             m = ResilientMachine(inner, FaultPolicy(max_retries=2, **FAST), **NO_SLEEP)
-            out = m.run_round_arrays([(_crash_once, (str(flag),), {}), (_identity, (7,), {})])
+            out = m.run_round([(_crash_once, (str(flag),), {}), (_identity, (7,), {})])
         assert out == ["survived", 7]
         assert m.pool_rebuilds >= 1
         assert m.health()["task_failures"] >= 1

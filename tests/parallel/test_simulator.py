@@ -7,14 +7,22 @@ import pytest
 from repro.parallel.simulator import RoundStats, SimulatedMachine
 
 
-def busy(seconds):
-    def thunk():
-        end = time.perf_counter() + seconds
-        while time.perf_counter() < end:
-            pass
-        return seconds
+def _spin(seconds):
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+    return seconds
 
-    return thunk
+
+def busy(seconds):
+    return (_spin, (seconds,), {})
+
+
+def const(value):
+    return (lambda: value, (), {})
+
+
+NOOP = const(None)
 
 
 class TestMakespan:
@@ -43,18 +51,18 @@ class TestMakespan:
 class TestRunRound:
     def test_results_in_order(self):
         m = SimulatedMachine(workers=2)
-        out = m.run_round([lambda: 1, lambda: 2, lambda: 3])
+        out = m.run_round([const(1), const(2), const(3)])
         assert out == [1, 2, 3]
 
     def test_sync_overhead_accumulates(self):
         m = SimulatedMachine(workers=2, sync_overhead=1.0, spawn_overhead=0.0)
-        m.run_round([lambda: None])
-        m.run_round([lambda: None])
+        m.run_round([NOOP])
+        m.run_round([NOOP])
         assert m.elapsed >= 2.0
 
     def test_spawn_overhead_per_task(self):
         m = SimulatedMachine(workers=2, sync_overhead=0.0, spawn_overhead=0.5)
-        m.run_round([lambda: None] * 4)
+        m.run_round([NOOP] * 4)
         assert m.elapsed >= 2.0
 
     def test_parallel_faster_than_serial(self):
@@ -65,14 +73,9 @@ class TestRunRound:
         m8.run_round(tasks)
         assert m8.elapsed < m1.elapsed / 3
 
-    def test_run_serial(self):
-        m = SimulatedMachine(workers=8)
-        assert m.run_serial(lambda: 42) == 42
-        assert m.elapsed > 0
-
     def test_reset(self):
         m = SimulatedMachine(workers=2)
-        m.run_round([lambda: None])
+        m.run_round([NOOP])
         m.reset()
         assert m.elapsed == 0 and m.rounds == 0 and m.tasks == 0 and not m.round_log
 
@@ -80,7 +83,7 @@ class TestRunRound:
 class TestStatsAndValidation:
     def test_round_log(self):
         m = SimulatedMachine(workers=2)
-        m.run_round([lambda: 1, lambda: 2])
+        m.run_round([const(1), const(2)])
         assert len(m.round_log) == 1
         stats = m.round_log[0]
         assert isinstance(stats, RoundStats)

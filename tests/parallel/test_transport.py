@@ -38,13 +38,7 @@ from repro.parallel import (
     make_machine,
     shared_memory_available,
 )
-from repro.parallel.transport import (
-    machine_broadcast,
-    machine_localize,
-    machine_release,
-    resolve,
-    run_array_round,
-)
+from repro.parallel.transport import resolve
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="no multiprocessing.shared_memory"
@@ -192,13 +186,13 @@ class TestProcessTransport:
     def test_shm_round_trip_and_byte_accounting(self):
         x = np.arange(20_000, dtype=np.int64)
         with ProcessMachine(workers=2, transport="shm") as m:
-            (bx,) = machine_broadcast(m, x)
-            out = run_array_round(
-                m, [(_double, (bx[i * 5000 : (i + 1) * 5000], 2), {}) for i in range(4)]
+            (bx,) = m.broadcast(x)
+            out = m.run_round(
+                [(_double, (bx[i * 5000 : (i + 1) * 5000], 2), {}) for i in range(4)]
             )
-            got = np.concatenate([machine_localize(m, o) for o in out])
-            machine_release(m, *out)
-            machine_release(m, bx)
+            got = np.concatenate([m.localize(o) for o in out])
+            m.release_arrays(out)
+            m.release_arrays([bx])
             stats = m.transport_stats()
         assert np.array_equal(got, x * 2)
         assert stats["transport_active"] == "shm"
@@ -208,8 +202,8 @@ class TestProcessTransport:
     def test_pickle_round_matches_and_ships_more(self):
         x = np.arange(20_000, dtype=np.int64)
         with ProcessMachine(workers=2, transport="pickle") as m:
-            out = run_array_round(
-                m, [(_double, (x[i * 5000 : (i + 1) * 5000], 2), {}) for i in range(4)]
+            out = m.run_round(
+                [(_double, (x[i * 5000 : (i + 1) * 5000], 2), {}) for i in range(4)]
             )
             assert np.array_equal(np.concatenate(out), x * 2)
             assert m.transport_stats()["bytes_shipped"] > x.nbytes
@@ -247,25 +241,25 @@ class TestProcessTransport:
     def test_rebuild_keeps_transport(self):
         x = np.arange(5000, dtype=np.int64)
         with ProcessMachine(workers=2, transport="shm") as m:
-            out = run_array_round(m, [(_double, (x, 2), {})])
-            assert np.array_equal(machine_localize(m, out[0]), x * 2)
-            machine_release(m, *out)
+            out = m.run_round([(_double, (x, 2), {})])
+            assert np.array_equal(m.localize(out[0]), x * 2)
+            m.release_arrays(out)
             m.rebuild()
-            out = run_array_round(m, [(_double, (x, 3), {})])
-            assert np.array_equal(machine_localize(m, out[0]), x * 3)
-            machine_release(m, *out)
+            out = m.run_round([(_double, (x, 3), {})])
+            assert np.array_equal(m.localize(out[0]), x * 3)
+            m.release_arrays(out)
             assert m.transport_active == "shm"
 
     def test_worker_crash_leaves_no_segments(self):
         with ProcessMachine(workers=2, transport="shm") as m:
             x = np.arange(5000, dtype=np.int64)
-            (bx,) = machine_broadcast(m, x)
+            (bx,) = m.broadcast(x)
             with pytest.raises((WorkerCrashError, Exception)):
-                run_array_round(m, [(_die, (), {})])
+                m.run_round([(_die, (), {})])
             m.rebuild()
             # machine still usable after the crash, same broadcast segment
-            out = run_array_round(m, [(_double, (bx, 2), {})])
-            assert np.array_equal(machine_localize(m, out[0]), x * 2)
+            out = m.run_round([(_double, (bx, 2), {})])
+            assert np.array_equal(m.localize(out[0]), x * 2)
         # the autouse fixture asserts nothing leaked after close()
 
     def test_worker_attachments_stay_bounded(self):
@@ -279,7 +273,7 @@ class TestProcessTransport:
         with ProcessMachine(workers=2, transport="shm") as m:
             for _ in range(20):
                 parallel_hybrid_combing_grid(a, b, m)
-            counts = dict(run_array_round(m, [(_attachments, (), {})] * 8))
+            counts = dict(m.run_round([(_attachments, (), {})] * 8))
         # at most one call's segments (without the sweep: ~2 per call)
         assert max(counts.values()) <= 8, counts
 
@@ -290,7 +284,7 @@ class TestProcessTransport:
 
         with ProcessMachine(workers=1, transport="pickle") as m:
             with pytest.raises(TaskTimeoutError):
-                m.run_round_arrays(
+                m.run_round(
                     [(__import__("time").sleep, (0.2,), {}) for _ in range(2)],
                     timeout=0.3,
                 )
@@ -300,8 +294,8 @@ class TestProcessTransport:
         with ProcessMachine(workers=2, transport="shm") as m:
             m.inject_shm_loss(0)
             with pytest.warns(TransportFallbackWarning):
-                (bx,) = machine_broadcast(m, x)
-            out = run_array_round(m, [(_double, (bx, 2), {})])
+                (bx,) = m.broadcast(x)
+            out = m.run_round([(_double, (bx, 2), {})])
             assert np.array_equal(out[0], x * 2)
             assert m.transport_active == "pickle"
             assert m.transport_stats()["transport_fallbacks"] >= 1
@@ -320,7 +314,7 @@ class TestChaosSharedMemoryLoss:
         with pytest.warns(TransportFallbackWarning):
             with ChaosMachine(inner, shm_loss_after=1) as chaos:
                 arrs = chaos.broadcast(x, x[:5000])
-                outs = chaos.run_round_arrays(
+                outs = chaos.run_round(
                     [(_double, (arrs[0][:5000], 2), {}), (_double, (arrs[1], 3), {})]
                 )
                 assert np.array_equal(chaos.localize(outs[0]), x[:5000] * 2)
@@ -339,7 +333,7 @@ class TestChaosSharedMemoryLoss:
             x = np.arange(20_000, dtype=np.int64)
             with pytest.warns(TransportFallbackWarning):
                 (bx,) = m.broadcast(x)
-            out = m.run_round_arrays([(_double, (bx, 2), {})])
+            out = m.run_round([(_double, (bx, 2), {})])
             assert np.array_equal(m.localize(out[0]), x * 2)
         finally:
             m.close()
@@ -355,11 +349,10 @@ _SIGTERM_SCRIPT = textwrap.dedent(
     import numpy as np, os, signal, sys
     from repro.checkpoint import cleanup_on_signals
     from repro.parallel import ProcessMachine, release_all_arenas
-    from repro.parallel.transport import machine_broadcast
 
     m = ProcessMachine(workers=2, transport="shm")
     with cleanup_on_signals(release_all_arenas):
-        machine_broadcast(m, np.arange(100_000, dtype=np.int64))
+        m.broadcast(np.arange(100_000, dtype=np.int64))
         print("READY", flush=True)
         os.kill(os.getpid(), signal.SIGTERM)
         sys.exit(3)  # unreachable: the handler exits 128+15

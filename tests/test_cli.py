@@ -126,6 +126,20 @@ class TestParallel:
         out = capsys.readouterr().out
         assert "LCS(a, b) = 4" in out
 
+    @pytest.mark.parametrize("algorithm", ["combing", "load-balanced"])
+    def test_wavefront_on_process_pool_is_rejected(self, algorithm, capsys):
+        """The in-place wavefront combers refuse a process pool up front:
+        exit 2 with one error line, not a degraded serial run."""
+        code = main(
+            ["parallel", "abcab", "acaba", "--algorithm", algorithm,
+             "--backend", "processes", "--workers", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-lcs: error:"), lines
+        assert "LCS" not in captured.out
+
     def test_algorithms_agree(self, capsys):
         for algo in ("hybrid", "combing", "load-balanced", "steady-ant"):
             assert main(["parallel", "abcabc", "bcabca", "--algorithm", algo]) == 0
