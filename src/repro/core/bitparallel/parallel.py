@@ -20,6 +20,8 @@ the machine accounts the parallel cost.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ...alphabet import encode, to_binary
@@ -31,22 +33,30 @@ from .words import MAX_WIDTH, WORD_DTYPE, pack_a_words, pack_b_words, popcount_w
 _U = WORD_DTYPE
 
 
-def _bit_chunk(h, v, av, bv, mh, mv, variant, w):
-    """Update the words ``h`` / ``v`` of one contiguous run of blocks of a
-    block-anti-diagonal in place, and return them.
+#: the inner steps of a ``w x w`` block, built once per process, not per task
+_steps = functools.lru_cache(maxsize=None)(_triangle_masks)
 
-    In-process, ``h`` and ``v`` are views of the wavefront state; a pool
-    task runs :func:`_bit_chunk_copy`. ``new1`` / ``new2`` keep the words
-    local across the ``2w - 1`` steps and write them back once; ``old``
-    gathers and scatters them on every step.
+
+def _bit_chunk(h, v, a, b, ma, mb, variant, w):
+    """One contiguous run of blocks of a block-anti-diagonal, as a pure
+    function: returns the updated ``(h, v)`` words and leaves its
+    arguments alone, so a retried task starts from the same state.
+
+    The ``h`` / ``v`` words are gathered once into task-local copies and
+    handed back once for the caller to scatter. ``new1`` / ``new2`` keep
+    every word local across the ``2w - 1`` steps; ``old``, like
+    :func:`~repro.core.bitparallel.bitlcs.bit_lcs`'s, re-gathers all six
+    word arrays and scatters ``h`` / ``v`` on every step.
     """
     wmask = word_mask(w)
     use_new2 = variant == "new2"
     gather_each_step = variant == "old"
-    hv, vv = h, v
-    for sh, upper, mask in _triangle_masks(w):
+    h, v = h.copy(), v.copy()
+    hv, vv, av, bv, mh, mv = h, v, a, b, ma, mb
+    for sh, upper, mask in _steps(w):
         if gather_each_step:
-            hv, vv = h.copy(), v.copy()
+            hv, vv, av, bv = h.copy(), v.copy(), a.copy(), b.copy()
+            mh, mv = ma.copy(), mb.copy()
         shift = _U(sh)
         if upper:
             hs = hv >> shift
@@ -76,18 +86,7 @@ def _bit_chunk(h, v, av, bv, mh, mv, variant, w):
         if gather_each_step:
             h[...] = hv
             v[...] = vv
-    if not gather_each_step:
-        h[...] = hv
-        v[...] = vv
-    return h, v
-
-
-def _bit_chunk_copy(h, v, *args):
-    """:func:`_bit_chunk` on copies of ``h`` / ``v``, for a pool task: its
-    span of the words may be shared memory, which it must leave alone
-    (the parent scatters the returned words, so a retried task starts
-    from the same state)."""
-    return _bit_chunk(h.copy(), v.copy(), *args)
+    return hv, vv
 
 
 def _chunk_ranges(length: int, workers: int) -> list[tuple[int, int]]:
@@ -143,7 +142,6 @@ def _bit_lcs_parallel_impl(ca, cb, machine, variant: Variant, w: int) -> int:
         a_words = (~a_words) & word_mask(w)
     # the words broadcast once (shared memory on a shm pool)
     h, v, aw, bw, am, bm = machine.broadcast(h, v, a_words, b_words, a_valid, b_valid)
-    chunk = _bit_chunk_copy if machine.remote_tasks else _bit_chunk
     try:
         for d in range(ma + nb - 1):
             i_lo = max(0, d - nb + 1)
@@ -160,7 +158,7 @@ def _bit_lcs_parallel_impl(ca, cb, machine, variant: Variant, w: int) -> int:
                 spans = _chunk_ranges(count, machine.workers)
             specs = [
                 (
-                    chunk,
+                    _bit_chunk,
                     (
                         h[l0 + c0 : l0 + c1],
                         v[j0 + c0 : j0 + c1],

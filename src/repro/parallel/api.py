@@ -116,8 +116,11 @@ class Machine:
     def close(self) -> None:
         """Release workers and transport memory (idempotent)."""
 
-    def rebuild(self) -> None:
-        """Replace broken workers; counters survive."""
+    def rebuild(self) -> bool:
+        """Replace broken workers; counters survive. Returns whether the
+        machine had workers to replace (``False`` here: its tasks run on
+        the calling thread)."""
+        return False
 
     def __enter__(self):
         return self
@@ -177,9 +180,9 @@ class MachineWrapper(Machine):
         """Close the inner machine."""
         self.inner.close()
 
-    def rebuild(self) -> None:
+    def rebuild(self) -> bool:
         """Rebuild the inner machine's workers; every counter survives."""
-        self.inner.rebuild()
+        return self.inner.rebuild()
 
 
 class SerialMachine(Machine):

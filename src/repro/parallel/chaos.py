@@ -226,6 +226,13 @@ class ChaosMachine(MachineWrapper):
 
     # -- protocol ------------------------------------------------------
 
+    def rebuild(self) -> bool:
+        """Rebuild the inner machine's workers; returns ``True`` whatever
+        the inner machine: an injected crash stands for a worker that
+        died, and a rebuild replaces it. Every counter survives."""
+        self.inner.rebuild()
+        return True
+
     def run_round(self, specs: Sequence[Spec], **kw) -> list:
         """Run the round on the inner machine with every task
         fault-injected; keyword arguments (``items``, ``timeout``) pass

@@ -402,8 +402,9 @@ class ProcessMachine(Machine):
         self.bytes_shipped = 0
         self.bytes_returned = 0
 
-    def rebuild(self) -> None:
-        """Replace the executor (e.g. after a ``BrokenProcessPool``).
+    def rebuild(self) -> bool:
+        """Replace the executor (e.g. after a ``BrokenProcessPool``);
+        returns ``True``.
 
         The arena and its segments survive: live handles stay resolvable
         and the fresh workers re-attach lazily. (Mappings held by the old
@@ -416,6 +417,7 @@ class ProcessMachine(Machine):
         get_metrics().inc("machine.rebuilds", 1)
         self._stop_pool()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return True
 
     def _stop_pool(self) -> None:
         """Shut the executor down, cancelling queued work. A shutdown

@@ -230,21 +230,25 @@ class ResilientMachine(MachineWrapper):
             self._closed = True
             self.inner.close()
 
-    def rebuild(self) -> None:
+    def rebuild(self) -> bool:
         """Replace the wrapped machine's worker pool with a fresh one.
 
-        Delegates to ``inner.rebuild()`` (a no-op when the backend has no
-        pool) and counts the event in ``pool_rebuilds``. Every counter —
+        Delegates to ``inner.rebuild()`` and, when that reports workers
+        replaced, counts the event in ``pool_rebuilds`` and revives a
+        closed machine (a serial or simulated backend has no pool, so
+        nothing is counted); returns the inner report. Every counter —
         this machine's fault counters and the inner machine's
         rounds/tasks/byte totals — is preserved across the rebuild: a
         rebuild replaces workers, never history, so long-run totals stay
         honest (they are additionally mirrored into the global
         ``resilience.*`` / ``machine.*`` metrics).
         """
-        self.inner.rebuild()
+        if not self.inner.rebuild():
+            return False
         with self._close_lock:
             self._closed = False  # a rebuild revives a closed machine
         self._bump("pool_rebuilds")
+        return True
 
     # -- health --------------------------------------------------------
 

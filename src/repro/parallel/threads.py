@@ -113,8 +113,8 @@ class ThreadMachine(Machine):
         self.rounds = 0
         self.tasks = 0
 
-    def rebuild(self) -> None:
-        """Replace the executor with a fresh one.
+    def rebuild(self) -> bool:
+        """Replace the executor with a fresh one; returns ``True``.
 
         Counters (rounds, tasks, elapsed) are preserved — a rebuild
         replaces workers, not the machine's history.
@@ -122,6 +122,7 @@ class ThreadMachine(Machine):
         get_metrics().inc("machine.rebuilds", 1)
         self._stop_pool()
         self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        return True
 
     def _stop_pool(self) -> None:
         """Shut the executor down, cancelling queued work; after an

@@ -335,6 +335,7 @@ class TestCloseIdempotence:
 
         def rebuild(self):
             self.rebuilds += 1
+            return True
 
     def test_double_close_tears_down_once(self):
         """A signal handler's close racing a finally block's must not
@@ -367,6 +368,34 @@ class TestCloseIdempotence:
         assert inner.rebuilds == 1
         m.close()
         assert inner.closes == 2
+
+
+class TestRebuildCounting:
+    def test_no_pool_rebuild_is_not_counted(self):
+        """A crash on a machine without workers is retried, but no pool
+        rebuild is reported: there is no pool to replace."""
+        crashed = []
+
+        def crash_once():
+            if not crashed:
+                crashed.append(1)
+                raise WorkerCrashError("worker died")
+            return "ok"
+
+        m = ResilientMachine(SerialMachine(), FaultPolicy(max_retries=2, **FAST), **NO_SLEEP)
+        assert m.run_round([call(crash_once)]) == ["ok"]
+        assert m.rebuild() is False
+        assert m.health()["pool_rebuilds"] == 0
+        assert m.health()["task_failures"] == 1
+
+    def test_pool_rebuild_is_counted(self):
+        from repro.parallel import ThreadMachine
+
+        with ThreadMachine(workers=2) as inner:
+            m = ResilientMachine(inner, FaultPolicy(**FAST), **NO_SLEEP)
+            assert m.rebuild() is True
+            assert m.run_round([const(3)]) == [3]
+        assert m.health()["pool_rebuilds"] == 1
 
 
 class TestProcessBackendRecovery:
