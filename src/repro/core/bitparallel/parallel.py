@@ -37,7 +37,7 @@ _U = WORD_DTYPE
 _steps = functools.lru_cache(maxsize=None)(_triangle_masks)
 
 
-def _bit_chunk(h, v, a, b, ma, mb, variant, w):
+def _bit_chunk(h, v, aw, bw, am, bm, variant, w):
     """One contiguous run of blocks of a block-anti-diagonal, as a pure
     function: returns the updated ``(h, v)`` words and leaves its
     arguments alone, so a retried task starts from the same state.
@@ -52,11 +52,11 @@ def _bit_chunk(h, v, a, b, ma, mb, variant, w):
     use_new2 = variant == "new2"
     gather_each_step = variant == "old"
     h, v = h.copy(), v.copy()
-    hv, vv, av, bv, mh, mv = h, v, a, b, ma, mb
+    hv, vv, av, bv, mh, mv = h, v, aw, bw, am, bm
     for sh, upper, mask in _steps(w):
         if gather_each_step:
-            hv, vv, av, bv = h.copy(), v.copy(), a.copy(), b.copy()
-            mh, mv = ma.copy(), mb.copy()
+            hv, vv, av, bv = h.copy(), v.copy(), aw.copy(), bw.copy()
+            mh, mv = am.copy(), bm.copy()
         shift = _U(sh)
         if upper:
             hs = hv >> shift
