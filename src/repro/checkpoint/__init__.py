@@ -14,10 +14,11 @@ work. This package provides the persistence-and-recovery layer:
 - :class:`~repro.checkpoint.journal.RunJournal` — append-only progress
   ledger (grid topology + completed leaf/merge nodes);
 - :class:`~repro.checkpoint.grid.GridCheckpointer` — the ``checkpoint=``
-  hook accepted by ``hybrid_combing_grid`` and
-  ``parallel_hybrid_combing_grid``; it wraps each grid node's task so
-  the task returns the stored kernel or persists the one it computes,
-  which also makes a retried task read back what it already committed;
+  argument of ``parallel_hybrid_combing_grid`` (the one Listing 7 grid;
+  ``hybrid_combing_grid`` runs it on a serial machine); it wraps each
+  grid node's task so the task returns the stored kernel or persists
+  the one it computes, which also makes a retried task read back what
+  it already committed;
 - :func:`~repro.checkpoint.signals.flush_on_signals` — SIGINT/SIGTERM
   handlers that flush in-flight bookkeeping before exit.
 

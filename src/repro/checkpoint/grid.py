@@ -1,10 +1,11 @@
 """Checkpointing for grid combing (paper Listing 7).
 
 :class:`GridCheckpointer` is the object that
-:func:`repro.core.combing.hybrid.hybrid_combing_grid` and
-:func:`repro.core.combing.parallel.parallel_hybrid_combing_grid` accept
-via their ``checkpoint=`` parameter. It content-addresses every grid
-node — leaves, the root *and* reduction-tree composes above a size
+:func:`repro.core.combing.parallel.parallel_hybrid_combing_grid`, the
+one Listing 7 grid, accepts via its ``checkpoint=`` parameter (as does
+its serial-machine wrapper
+:func:`repro.core.combing.hybrid.hybrid_combing_grid`). It
+content-addresses every grid node — leaves, the root *and* reduction-tree composes above a size
 threshold — by the slices of ``a`` and ``b`` the node covers, so:
 
 - a node persists itself from inside its own task:
@@ -63,7 +64,8 @@ class GridCheckpointer:
 
     Thread-safe for the in-process parallel machines: store writes are
     atomic renames and journal appends are lock-protected; the grid
-    algorithms record journal entries from the coordinating thread.
+    records a round's journal entries (:meth:`record`) from the
+    coordinating thread once the round drains.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class GridCheckpointer:
         self.compose_min_order = compose_min_order
         self.journal: RunJournal | None = None
         self.root_key: str | None = None
+        self._n_outer = 1
 
     # -- run lifecycle -------------------------------------------------
 
@@ -88,6 +91,7 @@ class GridCheckpointer:
         kernel when a previous run already completed this exact problem —
         the caller returns it immediately."""
         self.root_key = self.store.key(ca, cb, GRID_ALGORITHM)
+        self._n_outer = len(b_lens)
         header = make_header(
             self.root_key,
             m=ca.size,
@@ -122,7 +126,7 @@ class GridCheckpointer:
 
     def close(self) -> None:
         """Close the run's journal without marking it done (idempotent).
-        The grid algorithms call it on every exit, so a run that raises
+        The grid calls it on every exit, so a run that raises
         leaves no open file behind; its journal stays resumable."""
         if self.journal is not None:
             self.journal.close()
@@ -158,10 +162,11 @@ class GridCheckpointer:
             self.store.discard(key)
         return run_node, (self.store, key, GRID_ALGORITHM, m, n, fn, *args), key
 
-    def record_leaf(self, i: int, j: int, key: str) -> None:
-        """Journal leaf ``(i, j)`` as complete (coordinating thread only)."""
-        self.journal.record_leaf(i, j, key)
-
-    def record_compose(self, level: int, index: int, key: str) -> None:
-        """Journal reduction node ``(level, index)`` as complete."""
-        self.journal.record_compose(level, index, key)
+    def record(self, level: int, index: int, key: str) -> None:
+        """Journal node *index* of plan level *level* as complete: level 0
+        holds the leaves in row-major order, level ``k >= 1`` the
+        compositions of reduction level *k* (coordinating thread only)."""
+        if level == 0:
+            self.journal.record_leaf(*divmod(index, self._n_outer), key)
+        else:
+            self.journal.record_compose(level, index, key)

@@ -107,7 +107,7 @@ def _cmd_semilocal(args) -> int:
         from .core.kernel import SemiLocalKernel
         from .errors import ReproError
 
-        if args.algorithm not in ("semi_hybrid_iterative", "semi_hybrid"):
+        if args.algorithm != "semi_hybrid_iterative":
             raise ReproError(
                 "--checkpoint-dir requires the grid-combing algorithm "
                 "(--algorithm semi_hybrid_iterative); "

@@ -422,11 +422,3 @@ def iterative_combing_load_balanced(
         for nxt in braids[1:]:
             result = multiply(result, nxt)
         return result
-
-
-def lcs_score_from_kernel(kernel: PermArray, m: int, n: int) -> int:
-    """Global LCS score ``LCS(a, b)`` of the ``m x n`` grid whose kernel
-    is *kernel* (:meth:`repro.core.kernel.SemiLocalKernel.lcs_whole`)."""
-    from ..kernel import SemiLocalKernel
-
-    return SemiLocalKernel(kernel, m, n).lcs_whole()

@@ -12,9 +12,11 @@ and why the simulator is the default for thread-scaling figures).
   and 3 are combed concurrently with matched anti-diagonals so every
   round processes exactly ``m`` cells, then the three phase braids are
   recombined by braid multiplication, one one-task round each.
-- :func:`parallel_hybrid_combing_grid` — Listing 7: one round combs all
-  sub-blocks, then each level of
+- :func:`parallel_hybrid_combing_grid` — Listing 7, and its only
+  implementation: one round combs all sub-blocks, then each level of
   :func:`~repro.core.combing.hybrid.plan_grid_reduction` is one round.
+  A serial machine is one more schedule of it
+  (:func:`~repro.core.combing.hybrid.hybrid_combing_grid`).
 
 The two wavefront combers update their strand arrays in place, so they
 need a machine whose tasks run in this process; on a process pool
@@ -32,13 +34,8 @@ from ...obs import get_metrics, get_tracer
 from ...obs import phase as _obs_phase
 from ...types import PermArray, Sequenceish
 from ..compose import flip_kernel
-from .hybrid import (
-    _leaf,
-    _split_lengths,
-    optimal_split,
-    plan_grid_reduction,
-    run_grid_levels,
-)
+from ..steady_ant import steady_ant_vectorized
+from .hybrid import _split_lengths, optimal_split, plan_grid_reduction
 from .iterative import (
     _UNSIGNED_LIMIT_16,
     _antidiag_ranges,
@@ -46,6 +43,7 @@ from .iterative import (
     _extract_kernel,
     antidiag_scratch,
     cut_positions,
+    iterative_combing_antidiag_simd,
     strand_dtype,
 )
 
@@ -53,21 +51,21 @@ from .iterative import (
 # -- picklable grid tasks (shipped to worker processes by spec) -------------
 
 
-def _compact_perm(perm: np.ndarray, compact: bool) -> np.ndarray:
+def _compact_perm(perm: np.ndarray) -> np.ndarray:
     """Downcast a kernel to ``uint16`` for the trip home when its values
     fit; consumers upcast on entry and the final result is restored to
     ``int64``."""
-    if compact and perm.size <= _UNSIGNED_LIMIT_16:
+    if perm.size <= _UNSIGNED_LIMIT_16:
         return perm.astype(np.uint16)
     return perm
 
 
-def _grid_leaf(ca_blk, cb_blk, blend, use_16bit, compact):
-    return _compact_perm(_leaf(ca_blk, cb_blk, blend, use_16bit), compact)
+def _grid_leaf(ca_blk, cb_blk):
+    return _compact_perm(iterative_combing_antidiag_simd(ca_blk, cb_blk))
 
 
-def _grid_compose(op, p, q, multiply, compact):
-    return _compact_perm(op.compose(p, q, multiply), compact)
+def _grid_compose(op, p, q):
+    return _compact_perm(op.compose(p, q, steady_ant_vectorized))
 
 
 def _diag_spec(a_rev, cb, h_strands, v_strands, diag, blend, scratch):
@@ -248,28 +246,29 @@ def parallel_hybrid_combing_grid(
     machine,
     *,
     n_tasks: int | None = None,
-    blend: str = "arith",
-    use_16bit: bool = True,
-    multiply=None,
-    strand_limit: int | None = None,
+    reduction: str = "longest-side",
     checkpoint=None,
 ) -> PermArray:
     """Listing 7 with explicit parallel rounds.
 
-    Round 0 combs all ``m_outer x n_outer`` sub-blocks; each level of
-    :func:`~repro.core.combing.hybrid.plan_grid_reduction` (always along
-    the blocks' longest side) is then one further round, so a run takes
-    exactly ``1 + len(levels)`` machine rounds. ``n_tasks`` defaults to
-    ``machine.workers``: one leaf per worker. With workers of equal
-    speed, doubling the leaves leaves no worker fewer cells to comb in
-    round 0, and it adds a compose level, whose multiplications lie on
-    the critical path (on two workers, 2 leaves and 1 compose in 2 rounds
-    instead of 4 leaves and 3 composes in 3).
+    Round 0 combs all ``m_outer x n_outer`` sub-blocks with
+    :func:`~repro.core.combing.iterative.iterative_combing_antidiag_simd`;
+    each level of :func:`~repro.core.combing.hybrid.plan_grid_reduction`
+    is then one further round of compositions, so a run takes exactly
+    ``1 + len(levels)`` machine rounds. ``reduction`` picks the plan's
+    compose-order heuristic (ablated in
+    ``benchmarks/bench_ext_ablations.py``); every order gives the same
+    kernel. ``n_tasks`` defaults to ``machine.workers``: one leaf per
+    worker. With workers of equal speed, doubling the leaves leaves no
+    worker fewer cells to comb in round 0, and it adds a compose level,
+    whose multiplications lie on the critical path (on two workers, 2
+    leaves and 1 compose in 2 rounds instead of 4 leaves and 3 composes
+    in 3).
 
-    Braid multiplications default to the level-vectorized steady ant
-    (:func:`~repro.core.steady_ant.vectorized.steady_ant_vectorized`);
-    pass ``multiply=steady_ant_multiply`` for the scalar recursion (the
-    kernel is bit-identical either way).
+    Braid multiplications run on the level-vectorized steady ant
+    (:func:`~repro.core.steady_ant.vectorized.steady_ant_vectorized`).
+    Kernels travel between rounds as ``uint16`` whenever their values
+    fit; the kernel returned is ``int64``.
 
     Tasks ship as pure ``(fn, args, kwargs)`` specs: process machines
     run them in workers (the input sequences broadcast once as
@@ -280,14 +279,17 @@ def parallel_hybrid_combing_grid(
     makes the run durable through the same rounds: each leaf/compose
     spec is wrapped by :meth:`~repro.checkpoint.grid.GridCheckpointer.node`
     so the task returns its stored kernel or persists the one it
-    computes. Resumed runs load completed nodes from disk, and a task a
+    computes, and a round's persisted nodes are journalled once it
+    drains. Resumed runs load completed nodes from disk, and a task a
     :class:`~repro.parallel.resilient.ResilientMachine` retries after it
     committed reads its kernel back instead of recomputing it.
 
     Observability: wrapped in the ``combing`` phase and a
     ``combing.grid`` span that records the resolved ``n_tasks`` and the
-    grid shape ``m_outer x n_outer``; when tracing (or remote metric
-    collection) is active on a
+    grid shape ``m_outer x n_outer``; sub-block combings count in
+    ``combing.grid_leaves`` and compositions in ``combing.grid_composes``
+    (via :func:`repro.core.compose.compose_vertical`). When tracing (or
+    remote metric collection) is active on a
     :class:`~repro.parallel.processes.ProcessMachine`, the worker-side
     leaf/compose spans and counters ship back with each round and
     re-parent under this call's round spans.
@@ -296,110 +298,61 @@ def parallel_hybrid_combing_grid(
     m, n = ca.size, cb.size
     if n_tasks is None:
         n_tasks = max(1, machine.workers)
-    m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
+    m_outer, n_outer = optimal_split(m, n, n_tasks)
     a_lens = _split_lengths(m, m_outer)
     b_lens = _split_lengths(n, n_outer)
     with _obs_phase("combing"), get_tracer().span(
         "combing.grid",
         args={"n_tasks": n_tasks, "m_outer": len(a_lens), "n_outer": len(b_lens)},
     ):
-        return _parallel_hybrid_grid_impl(
-            ca, cb, machine, a_lens, b_lens,
-            blend=blend, use_16bit=use_16bit, multiply=multiply, checkpoint=checkpoint,
-        )
-
-
-def _parallel_hybrid_grid_impl(
-    ca: np.ndarray,
-    cb: np.ndarray,
-    machine,
-    a_lens: list[int],
-    b_lens: list[int],
-    *,
-    blend: str,
-    use_16bit: bool,
-    multiply,
-    checkpoint,
-) -> PermArray:
-    m, n = ca.size, cb.size
-    if m == 0 or n == 0:
-        return np.arange(m + n, dtype=np.int64)
-    if multiply is None:
-        from ..steady_ant import steady_ant_vectorized as multiply
-
-    plan = plan_grid_reduction(m, n, a_lens, b_lens)
-    n_outer = len(b_lens)
-    n_leaves = len(a_lens) * n_outer
-
-    if checkpoint is not None:
-        finished = checkpoint.begin(ca, cb, a_lens, b_lens)
-        if finished is not None:
-            return finished
-
-    try:
+        if m == 0 or n == 0:
+            return np.arange(m + n, dtype=np.int64)
+        levels, spans, root = plan_grid_reduction(m, n, a_lens, b_lens, reduction=reduction)
+        if checkpoint is not None:
+            finished = checkpoint.begin(ca, cb, a_lens, b_lens)
+            if finished is not None:
+                return finished
+        n_leaves = len(a_lens) * len(b_lens)
         get_metrics().inc("combing.grid_leaves", n_leaves)
-        run_leaves, run_level = _spec_rounds(
-            ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint
-        )
-        result = run_grid_levels(plan, n_leaves, run_leaves, run_level)
-        if checkpoint is not None:
-            checkpoint.finish()
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()  # on every exit; only finish() records done
-    local = machine.localize(result)
-    machine.release_arrays([result])
-    return np.asarray(local, dtype=np.int64)
-
-
-def _spec_rounds(ca, cb, machine, plan, n_outer, blend, use_16bit, multiply, checkpoint):
-    """Round runners that ship grid tasks as picklable specs. Each
-    round's inputs are released as soon as the round that read them
-    drains. With a *checkpoint*, each spec is wrapped by
-    :meth:`~repro.checkpoint.grid.GridCheckpointer.node` (array
-    arguments stay top-level, so they still ship as handles), and the
-    journal records a round's persisted nodes once the round drains."""
-    compact = bool(use_16bit)
-    spans = plan[1]
-    bca, bcb = machine.broadcast(ca, cb)
-
-    def run(tasks, leaf):
-        """Run ``(node, fn, args)`` *tasks* as one round; return their
-        kernels and checkpoint keys (``None`` where nothing persists)."""
-        specs, keys = [], []
-        for node, fn, args in tasks:
-            key = None
+        kernels = {}
+        try:
+            bca, bcb = machine.broadcast(ca, cb)
+            # round 0 combs the leaves; round k composes plan level k
+            for level in range(len(levels) + 1):
+                if level == 0:
+                    nodes = range(n_leaves)
+                    tasks = [
+                        (_grid_leaf, (bca[a_lo:a_hi], bcb[b_lo:b_hi]))
+                        for a_lo, a_hi, b_lo, b_hi in (spans[node] for node in nodes)
+                    ]
+                    inputs = [bca, bcb]
+                else:
+                    ops = levels[level - 1]
+                    nodes = [op.out for op in ops]
+                    pairs = [(kernels.pop(op.left), kernels.pop(op.right)) for op in ops]
+                    tasks = [(_grid_compose, (op, *pair)) for op, pair in zip(ops, pairs)]
+                    inputs = [k for pair in pairs for k in pair]
+                specs, keys = [], []
+                for node, (fn, args) in zip(nodes, tasks):
+                    key = None
+                    if checkpoint is not None:
+                        a_lo, a_hi, b_lo, b_hi = spans[node]
+                        fn, args, key = checkpoint.node(
+                            fn, args, ca[a_lo:a_hi], cb[b_lo:b_hi], leaf=level == 0
+                        )
+                    specs.append((fn, args, {}))
+                    keys.append(key)
+                kernels.update(zip(nodes, machine.run_round(specs)))
+                machine.release_arrays(inputs)  # only this round reads them
+                for index, key in enumerate(keys):
+                    if key is not None:
+                        checkpoint.record(level, index, key)
             if checkpoint is not None:
-                a_lo, a_hi, b_lo, b_hi = spans[node]
-                fn, args, key = checkpoint.node(
-                    fn, args, ca[a_lo:a_hi], cb[b_lo:b_hi], leaf=leaf
-                )
-            specs.append((fn, args, {}))
-            keys.append(key)
-        return machine.run_round(specs), keys
-
-    def run_leaves(nodes):
-        tasks = []
-        for node in nodes:
-            a_lo, a_hi, b_lo, b_hi = spans[node]
-            args = (bca[a_lo:a_hi], bcb[b_lo:b_hi], blend, use_16bit, compact)
-            tasks.append((node, _grid_leaf, args))
-        outs, keys = run(tasks, leaf=True)
-        machine.release_arrays([bca, bcb])  # only leaves read the inputs
-        for node, key in zip(nodes, keys):
-            if key is not None:
-                checkpoint.record_leaf(*divmod(node, n_outer), key)
-        return outs
-
-    def run_level(level, ops, inputs):
-        outs, keys = run([
-            (op.out, _grid_compose, (op, left, right, multiply, compact))
-            for op, (left, right) in zip(ops, inputs)
-        ], leaf=False)
-        machine.release_arrays([k for pair in inputs for k in pair])
-        for index, key in enumerate(keys):
-            if key is not None:
-                checkpoint.record_compose(level, index, key)
-        return outs
-
-    return run_leaves, run_level
+                checkpoint.finish()
+        finally:
+            if checkpoint is not None:
+                checkpoint.close()  # on every exit; only finish() records done
+        result = kernels[root]
+        local = machine.localize(result)
+        machine.release_arrays([result])
+        return np.asarray(local, dtype=np.int64)

@@ -64,9 +64,6 @@ class PrecalcTable:
     def __len__(self) -> int:
         return sum(len(t) for t in self._tables)
 
-    def lookup_packed(self, packed_p: int, packed_q: int, n: int) -> int:
-        return self._tables[n][(packed_p, packed_q)]
-
     def multiply(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Table-driven product of two small permutations."""
         n = p.size

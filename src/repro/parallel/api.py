@@ -37,9 +37,12 @@ Spec = tuple[Callable[..., Any], tuple, dict]
 
 
 def note_task(exc: BaseException, index: int, n_tasks: int) -> None:
-    """Annotate a task's own exception with the task that raised it."""
-    if hasattr(exc, "add_note"):  # 3.11+; requires-python is 3.10
-        exc.add_note(f"raised by task {index} of a {n_tasks}-task round")
+    """Annotate a task's own exception with the task that raised it.
+
+    Appends to ``exc.__notes__`` as ``add_note`` does on Python 3.11+,
+    so the note is there on every supported version."""
+    note = f"raised by task {index} of a {n_tasks}-task round"
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
 
 
 def call_spec(spec: Spec, index: int, n_tasks: int):

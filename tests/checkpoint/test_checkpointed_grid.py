@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import GRID_ALGORITHM, GridCheckpointer, KernelStore
+from repro.core.combing import parallel as grid_module
 from repro.core.combing.hybrid import hybrid_combing_grid
 from repro.core.combing.iterative import iterative_combing_rowmajor
 from repro.core.combing.parallel import parallel_hybrid_combing_grid
@@ -48,10 +49,6 @@ class CommitThenFailStore(KernelStore):
             raise RuntimeError("crash after commit")
 
 
-class Interrupted(BaseException):
-    """Stand-in for a crash: escapes the library like a real SIGKILL."""
-
-
 def checkpointer(tmp_path, **kwargs):
     store = KernelStore(tmp_path / "store")
     # order-0 threshold: persist every compose, so tiny test grids
@@ -59,16 +56,9 @@ def checkpointer(tmp_path, **kwargs):
     return store, GridCheckpointer(store, compose_min_order=0, **kwargs)
 
 
-def interrupt_after(k):
-    """An ``on_leaf`` callback raising after *k* completed leaves."""
-    seen = []
-
-    def on_leaf(m, n):
-        seen.append((m, n))
-        if len(seen) >= k:
-            raise Interrupted(f"crash after {k} leaves")
-
-    return on_leaf
+def dying_after(k):
+    """A serial machine whose process "dies" once *k* tasks completed."""
+    return ChaosMachine(SerialMachine(), abort_after=k)
 
 
 codes = st.lists(st.integers(0, 3), min_size=1, max_size=24).map(
@@ -123,15 +113,16 @@ class TestSerialCheckpointing:
         self, tmp_path_factory, a, b, prefix
     ):
         """THE acceptance property (serial path): crash after any prefix
-        of completed leaves, resume, get the bit-identical kernel."""
+        of completed tasks, leaves or composes, resume, get the
+        bit-identical kernel."""
         tmp_path = tmp_path_factory.mktemp("ckpt")
         reference = iterative_combing_rowmajor(a, b)
         store, ckpt = checkpointer(tmp_path)
         try:
-            hybrid_combing_grid(
-                a, b, 6, checkpoint=ckpt, on_leaf=interrupt_after(prefix + 1)
+            parallel_hybrid_combing_grid(
+                a, b, dying_after(prefix), n_tasks=6, checkpoint=ckpt
             )
-        except Interrupted:
+        except ChaosProcessDeath:
             ckpt.flush()
         store2 = KernelStore(tmp_path / "store")
         got = hybrid_combing_grid(
@@ -142,8 +133,10 @@ class TestSerialCheckpointing:
     def test_resume_reuses_the_crashed_runs_work(self, tmp_path, rng):
         a, b = random_codes(rng, 24), random_codes(rng, 24)
         store, ckpt = checkpointer(tmp_path)
-        with pytest.raises(Interrupted):
-            hybrid_combing_grid(a, b, 9, checkpoint=ckpt, on_leaf=interrupt_after(4))
+        with pytest.raises(ChaosProcessDeath):
+            parallel_hybrid_combing_grid(
+                a, b, dying_after(4), n_tasks=9, checkpoint=ckpt
+            )
         assert store.stats()["writes"] >= 4
         store2 = KernelStore(tmp_path / "store")
         got = hybrid_combing_grid(
@@ -365,15 +358,17 @@ class TestJournalClosedOnError:
         assert ckpt.journal._fh is None
         assert not ckpt.journal.done
 
-    def test_serial_grid_compose_error(self, tmp_path, rng):
+    def test_serial_grid_compose_error(self, tmp_path, rng, monkeypatch):
         a, b = random_codes(rng, 40), random_codes(rng, 30)
         _, ckpt = checkpointer(tmp_path)
 
         def broken_multiply(p, q):
             raise RuntimeError("multiply failed")
 
+        # fails every compose task; the leaf round runs as usual
+        monkeypatch.setattr(grid_module, "steady_ant_vectorized", broken_multiply)
         with pytest.raises(RuntimeError, match="multiply failed"):
-            hybrid_combing_grid(a, b, 4, multiply=broken_multiply, checkpoint=ckpt)
+            hybrid_combing_grid(a, b, 4, checkpoint=ckpt)
         assert ckpt.journal._fh is None
         assert not ckpt.journal.done
 

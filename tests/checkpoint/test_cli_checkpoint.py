@@ -22,7 +22,12 @@ class TestSemilocalCheckpoint:
         assert run_semilocal(tmp_path) == 0
         out = capsys.readouterr().out
         assert "LCS(a, b) = 8" in out
-        assert "checkpoint: hits=0" in out
+        # a fresh run writes every artifact once (a leaf whose slices
+        # repeat a sibling's may read the sibling's artifact instead)
+        writes = int(re.search(r"checkpoint: .*writes=(\d+)", out).group(1))
+        assert main(["checkpoint", "list", str(tmp_path / "store")]) == 0
+        listed = re.search(r"(\d+) artifact\(s\)", capsys.readouterr().out)
+        assert writes == int(listed.group(1))
 
     def test_resume_is_one_hit(self, tmp_path, capsys):
         assert run_semilocal(tmp_path) == 0
@@ -33,11 +38,15 @@ class TestSemilocalCheckpoint:
         assert "checkpoint: hits=1, misses=0" in out
 
     def test_requires_grid_algorithm(self, tmp_path, capsys):
-        assert main(
-            ["semilocal", A, B, "--algorithm", "semi_rowmajor",
-             "--checkpoint-dir", str(tmp_path / "store")]
-        ) == 2
-        assert "error" in capsys.readouterr().err
+        # semi_hybrid is Listing 6, not the checkpointed Listing 7 grid
+        for algorithm in ("semi_rowmajor", "semi_hybrid"):
+            assert main(
+                ["semilocal", A, B, "--algorithm", algorithm,
+                 "--checkpoint-dir", str(tmp_path / "store")]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro-lcs: error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "store").exists()
 
 
 class TestParallelCheckpoint:

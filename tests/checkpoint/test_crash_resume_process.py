@@ -1,7 +1,7 @@
 """Crash-resume with a *real* process kill.
 
 A child Python process runs a checkpointed grid combing with slowed-down
-leaves; the parent SIGKILLs it once the store holds some (but not all)
+tasks; the parent SIGKILLs it once the store holds some (but not all)
 artifacts, resumes in-process, and asserts the kernel is bit-identical —
 the no-cooperation version of the property tests.
 """
@@ -27,19 +27,18 @@ A = "BAABCBCABACCBABA" * 4
 B = "CABBAACBCABACABB" * 4
 
 CHILD = """
-import sys, time
-import numpy as np
+import sys
 from repro.alphabet import encode
 from repro.checkpoint import GridCheckpointer, KernelStore
-from repro.core.combing.hybrid import hybrid_combing_grid
+from repro.core.combing.parallel import parallel_hybrid_combing_grid
+from repro.parallel import ChaosMachine, SerialMachine
 
 store_dir, a, b = sys.argv[1], sys.argv[2], sys.argv[3]
 ckpt = GridCheckpointer(KernelStore(store_dir), compose_min_order=0)
+# every task stalls 50 ms before it runs, so the kill lands mid-run
+slow = ChaosMachine(SerialMachine(), delay_rate=1.0, delay=0.05)
 print("ready", flush=True)
-hybrid_combing_grid(
-    encode(a), encode(b), 16, checkpoint=ckpt,
-    on_leaf=lambda m, n: time.sleep(0.05),
-)
+parallel_hybrid_combing_grid(encode(a), encode(b), slow, n_tasks=16, checkpoint=ckpt)
 print("finished", flush=True)
 """
 

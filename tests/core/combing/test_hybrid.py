@@ -10,8 +10,29 @@ from repro.core.combing.hybrid import (
     optimal_split,
 )
 from repro.core.combing.iterative import iterative_combing_rowmajor
+from repro.obs import get_metrics, get_tracer
 
 from ...conftest import random_codes, random_pair
+
+
+def traced_grid(a, b, n_tasks):
+    """Run the grid traced; return its kernel, its ``combing.grid`` span
+    args and the leaves and composes it counted."""
+    metrics, tracer = get_metrics(), get_tracer()
+    names = ("leaves", "composes")
+    before = [metrics.get(f"combing.grid_{k}").value for k in names]
+    tracer.reset()
+    tracer.enabled = True
+    try:
+        got = hybrid_combing_grid(a, b, n_tasks)
+        (span,) = [e for e in tracer.events() if e["name"] == "combing.grid"]
+    finally:
+        tracer.enabled = False
+        tracer.reset()
+    counts = {
+        k: metrics.get(f"combing.grid_{k}").value - v for k, v in zip(names, before)
+    }
+    return got, span["args"], counts
 
 
 class TestHybridCombing:
@@ -59,12 +80,6 @@ class TestOptimalSplit:
     def test_single_task(self):
         assert optimal_split(50, 50, 1) == (1, 1)
 
-    def test_strand_limit_respected(self):
-        m_outer, n_outer = optimal_split(1000, 1000, 1, strand_limit=600)
-        import math
-
-        assert math.ceil(1000 / m_outer) + math.ceil(1000 / n_outer) <= 600
-
     def test_cannot_split_beyond_length(self):
         m_outer, n_outer = optimal_split(2, 2, 100)
         assert m_outer <= 2 and n_outer <= 2
@@ -90,19 +105,13 @@ class TestHybridGrid:
             got = hybrid_combing_grid(a, b, n_tasks)
             assert np.array_equal(got, iterative_combing_rowmajor(a, b)), (n_tasks, a, b)
 
-    def test_callbacks_fire(self, rng):
+    def test_counts_leaves_and_composes(self, rng):
         a = random_codes(rng, 16)
         b = random_codes(rng, 16)
-        leaves, composes = [], []
-        hybrid_combing_grid(
-            a,
-            b,
-            4,
-            on_leaf=lambda m, n: leaves.append((m, n)),
-            on_compose=lambda order: composes.append(order),
-        )
-        assert sum(m * n for m, n in leaves) == 16 * 16
-        assert len(composes) == len(leaves) - 1  # a reduction tree
+        got, args, counts = traced_grid(a, b, 4)
+        assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+        assert counts["leaves"] == args["m_outer"] * args["n_outer"] >= 4
+        assert counts["composes"] == counts["leaves"] - 1  # a reduction tree
 
     def test_rectangular_grids(self, rng):
         a = random_codes(rng, 5)
@@ -125,12 +134,6 @@ class TestHybridGrid:
         a, b = random_pair(rng)
         with pytest.raises(ValueError):
             hybrid_combing_grid(a, b, 4, reduction="diagonal-first")
-
-    def test_strand_limit_path(self, rng):
-        a = random_codes(rng, 40)
-        b = random_codes(rng, 40)
-        got = hybrid_combing_grid(a, b, 2, strand_limit=30)
-        assert np.array_equal(got, iterative_combing_rowmajor(a, b))
 
 
 class TestHybridGridEdgeCases:
@@ -175,16 +178,14 @@ class TestHybridGridEdgeCases:
         horizontal composes only."""
         a = random_codes(rng, 1)
         b = random_codes(rng, 30)
-        leaves = []
-        got = hybrid_combing_grid(a, b, 5, on_leaf=lambda m, n: leaves.append((m, n)))
-        assert len(leaves) >= 5 and all(m == 1 for m, _ in leaves)
+        got, args, counts = traced_grid(a, b, 5)
+        assert args["m_outer"] == 1 and counts["leaves"] == args["n_outer"] >= 5
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
 
     def test_degenerate_kx1_grid(self, rng):
         """A length-1 `b` forces a k×1 grid: vertical composes only."""
         a = random_codes(rng, 30)
         b = random_codes(rng, 1)
-        leaves = []
-        got = hybrid_combing_grid(a, b, 5, on_leaf=lambda m, n: leaves.append((m, n)))
-        assert len(leaves) >= 5 and all(n == 1 for _, n in leaves)
+        got, args, counts = traced_grid(a, b, 5)
+        assert args["n_outer"] == 1 and counts["leaves"] == args["m_outer"] >= 5
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))

@@ -1,7 +1,7 @@
 """Strand-compaction boundary behaviour.
 
-``use_16bit`` stores strand labels / transported kernels as ``uint16``
-only while every value provably fits; at the 16-bit threshold the code
+Strand labels and the grid's transported kernels are ``uint16`` only
+while every value provably fits; at the 16-bit threshold the code
 must fall back to ``int64`` rather than silently wrap. The end-to-end
 tests shrink the threshold so the grid, the single-pair default and
 lockstep straddle it both ways.
@@ -34,19 +34,15 @@ class TestDtypeChoice:
 class TestCompactPerm:
     def test_at_the_limit_compacts_losslessly(self):
         perm = np.arange(_UNSIGNED_LIMIT_16, dtype=np.int64)[::-1].copy()
-        got = _compact_perm(perm, True)
+        got = _compact_perm(perm)
         assert got.dtype == np.uint16
         assert np.array_equal(got.astype(np.int64), perm)
 
     def test_over_the_limit_stays_int64(self):
         perm = np.arange(_UNSIGNED_LIMIT_16 + 1, dtype=np.int64)
-        got = _compact_perm(perm, True)
+        got = _compact_perm(perm)
         assert got.dtype == np.int64
         assert got is perm
-
-    def test_compact_false_is_identity(self):
-        perm = np.arange(8, dtype=np.int64)
-        assert _compact_perm(perm, False) is perm
 
 
 class TestEndToEndAtShrunkenLimit:
@@ -65,9 +61,7 @@ class TestEndToEndAtShrunkenLimit:
         for limit in (30, 75, 76, 200):  # m+n=76: below, at, above
             self._patched(monkeypatch, limit)
             for machine in (SerialMachine(), ThreadMachine(workers=2)):
-                got = parallel_hybrid_combing_grid(
-                    a, b, machine, n_tasks=4, use_16bit=True
-                )
+                got = parallel_hybrid_combing_grid(a, b, machine, n_tasks=4)
                 close = getattr(machine, "close", None)
                 if close:
                     close()
@@ -104,5 +98,5 @@ class TestEndToEndAtShrunkenLimit:
         self._patched(monkeypatch, 10)
         small = np.arange(10, dtype=np.int64)
         big = np.arange(11, dtype=np.int64)
-        assert par._compact_perm(small, True).dtype == np.uint16
-        assert par._compact_perm(big, True).dtype == np.int64
+        assert par._compact_perm(small).dtype == np.uint16
+        assert par._compact_perm(big).dtype == np.int64

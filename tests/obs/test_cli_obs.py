@@ -23,12 +23,12 @@ def test_semilocal_trace_and_metrics(tmp_path, capsys):
     doc = json.loads(trace.read_text())
     names = validate_chrome_trace(doc)
     assert any(n.startswith("combing.") for n in names)
-    assert "steady_ant.multiply" in names
+    assert "steady_ant.vectorized" in names
     assert "phase:combing" in names
 
     mdoc = json.loads(metrics.read_text())
     assert mdoc["version"] == 1
-    assert mdoc["metrics"]["steady_ant.multiplies"]["value"] > 0
+    assert mdoc["metrics"]["steady_ant.vectorized_multiplies"]["value"] > 0
     assert mdoc["metrics"]["combing.grid_leaves"]["value"] > 0
     assert "combing" in mdoc["phases"]
 

@@ -9,7 +9,6 @@ whose tasks run in this process) treat the transport surface as
 identities and no-ops.
 """
 
-import sys
 import warnings
 
 import numpy as np
@@ -103,9 +102,8 @@ def test_task_error_names_its_index(machine):
         warnings.simplefilter("ignore")  # the resilient wrapper degrades
         with pytest.raises(ValueError, match="boom") as info:
             machine.run_round(specs)
-    if sys.version_info >= (3, 11):  # add_note is 3.11+
-        notes = getattr(info.value, "__notes__", [])
-        assert any("task 2 of a 3-task round" in note for note in notes), notes
+    notes = getattr(info.value, "__notes__", [])
+    assert any("task 2 of a 3-task round" in note for note in notes), notes
 
 
 def test_items_do_not_change_results(machine):

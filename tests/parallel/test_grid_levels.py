@@ -13,10 +13,17 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.alphabet import encode
 from repro.core.combing.hybrid import _split_lengths, optimal_split, plan_grid_reduction
-from repro.core.combing.iterative import iterative_combing_rowmajor
-from repro.core.combing.parallel import parallel_hybrid_combing_grid
-from repro.core.steady_ant import steady_ant_multiply
+from repro.core.combing.iterative import (
+    iterative_combing_antidiag_simd,
+    iterative_combing_rowmajor,
+)
+from repro.core.combing.parallel import (
+    _grid_leaf,
+    parallel_hybrid_combing_grid,
+    parallel_iterative_combing,
+)
 from repro.errors import DegradedExecutionWarning
 from repro.obs import get_tracer
 from repro.parallel import (
@@ -40,8 +47,8 @@ def reference(a=A, b=B):
     return iterative_combing_rowmajor(a, b)
 
 
-def grid(machine, a=A, b=B, **kw):
-    got = parallel_hybrid_combing_grid(a, b, machine, n_tasks=4, **kw)
+def grid(machine, a=A, b=B):
+    got = parallel_hybrid_combing_grid(a, b, machine, n_tasks=4)
     return np.asarray(got, dtype=np.int64)
 
 
@@ -97,26 +104,55 @@ class TestSchedule:
             assert machine.rounds == 1 + len(levels_of(len(A), len(B), 4))
 
 
+def grid_leaves(a=A, b=B, n_tasks=4):
+    """The ``(a, b)`` blocks the grid's round 0 combs."""
+    ca, cb = encode(a), encode(b)
+    m_outer, n_outer = optimal_split(ca.size, cb.size, n_tasks)
+    a_lens, b_lens = _split_lengths(ca.size, m_outer), _split_lengths(cb.size, n_outer)
+    _, spans, _ = plan_grid_reduction(ca.size, cb.size, a_lens, b_lens)
+    n_leaves = len(a_lens) * len(b_lens)
+    return [
+        (ca[a_lo:a_hi], cb[b_lo:b_hi])
+        for a_lo, a_hi, b_lo, b_hi in (spans[node] for node in range(n_leaves))
+    ]
+
+
 class TestMachines:
+    # The grid combs its leaves with one blend and strand width; every
+    # other blend and width must give the kernels it composes.
     @pytest.mark.parametrize("blend", BLENDS)
     @pytest.mark.parametrize("use_16bit", [False, True])
     def test_in_process_machines_match_reference(self, blend, use_16bit):
+        want = iterative_combing_antidiag_simd(
+            A, B, blend=blend, use_16bit_when_possible=use_16bit
+        )
+        assert np.array_equal(want, reference()), (blend, use_16bit)
         with ThreadMachine(workers=2) as threads:
             for machine in (SerialMachine(), threads):
-                got = grid(machine, blend=blend, use_16bit=use_16bit)
-                assert np.array_equal(got, reference()), (machine, blend, use_16bit)
+                assert np.array_equal(grid(machine), want), machine
+                wavefront = parallel_iterative_combing(
+                    A, B, machine, blend=blend, use_16bit=use_16bit
+                )
+                assert np.array_equal(wavefront, want), (machine, blend, use_16bit)
 
     def test_process_machine_blends_and_dtypes(self):
+        leaves = grid_leaves()
         with ProcessMachine(workers=2) as machine:
+            assert np.array_equal(grid(machine), reference())
+            want = machine.run_round([(_grid_leaf, leaf, {}) for leaf in leaves])
+            assert all(k.dtype == np.uint16 for k in want)
             for blend in BLENDS:
                 for use_16bit in (False, True):
-                    got = grid(machine, blend=blend, use_16bit=use_16bit)
-                    assert np.array_equal(got, reference()), (blend, use_16bit)
+                    kw = {"blend": blend, "use_16bit_when_possible": use_16bit}
+                    got = machine.run_round(
+                        [(iterative_combing_antidiag_simd, leaf, kw) for leaf in leaves]
+                    )
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w.astype(np.int64)), (blend, use_16bit)
 
     def test_shm_transport_round_trip(self):
         with ProcessMachine(workers=2, transport="shm") as machine:
             assert np.array_equal(grid(machine), reference())
-            assert np.array_equal(grid(machine, multiply=steady_ant_multiply), reference())
 
 
 class TestFaults:

@@ -7,7 +7,6 @@ accounting and error attribution, slab-backed arguments shipping as
 handles, and chaos faults through ResilientMachine.
 """
 
-import sys
 import warnings
 
 import numpy as np
@@ -98,9 +97,8 @@ class TestArrayRounds:
             specs = [(_double, (np.arange(4),), {}), (_boom, (1,), {})]
             with pytest.raises(RuntimeError, match="boom") as err:
                 machine.run_round(specs)
-        if sys.version_info >= (3, 11):  # add_note exists
-            notes = getattr(err.value, "__notes__", [])
-            assert any("task 1" in note for note in notes)
+        notes = getattr(err.value, "__notes__", [])
+        assert any("task 1" in note for note in notes)
 
     def test_slab_backed_args_ship_as_handles(self):
         with ProcessMachine(workers=2, transport="shm") as machine:

@@ -498,17 +498,25 @@ class TestUint16Compaction:
         assert k16.dtype == np.int64
         assert np.array_equal(k16, k64)
 
-    @pytest.mark.parametrize("use_16bit", [True, False])
-    def test_grid_16bit_ships_fewer_bytes_same_kernel(self, ab, use_16bit):
-        from repro.core.combing.iterative import iterative_combing_antidiag_simd
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_grid_16bit_ships_fewer_bytes_same_kernel(self, ab, fits):
+        from repro.core.combing.iterative import iterative_combing_rowmajor
         from repro.core.combing.parallel import parallel_hybrid_combing_grid
 
         a, b = ab
-        oracle = iterative_combing_antidiag_simd(a, b)
+        if not fits:
+            # the root kernel has more than 2^16 - 1 entries
+            rng = np.random.default_rng(13)
+            a, b = rng.integers(0, 4, 2**16), rng.integers(0, 4, 2)
+        oracle = iterative_combing_rowmajor(a, b)
         with ProcessMachine(workers=2, transport="pickle") as m:
-            got = parallel_hybrid_combing_grid(a, b, m, n_tasks=6, use_16bit=use_16bit)
+            got = parallel_hybrid_combing_grid(a, b, m, n_tasks=6)
             shipped = m.transport_stats()["bytes_returned"]
+        assert got.dtype == np.int64
         assert np.array_equal(got, oracle)
-        if use_16bit:
+        if fits:
             # uint16 kernels halve the bytes coming back over the pipe
             assert shipped < oracle.size * 8 * 6
+        else:
+            # a kernel whose values do not fit travels as int64
+            assert shipped >= oracle.size * 8
